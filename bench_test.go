@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fagin"
 	"repro/internal/scan"
-	"repro/internal/shells"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -241,35 +240,37 @@ func BenchmarkFaginVsOnion(b *testing.B) {
 	})
 }
 
-// BenchmarkShellAblation is the Section 6 / Figure 11 ablation: plain
-// full-layer evaluation vs spherical-shell pruning.
+// BenchmarkShellAblation is the Section 6 / Figure 11 ablation on a
+// shell-mode index: the layer-pruned walk (PruneLayersOnly) vs the same
+// walk with spherical-shell pruning (PruneAll).
 func BenchmarkShellAblation(b *testing.B) {
 	spec := benchSets[2] // 3D uniform: the paper's "halves the records" case
 	s := spec.get(b)
-	sx := shells.New(s.ix)
+	ix := s.ix.Clone()
+	ix.SetShellPruning(true)
 	ws := workload.QueryWeights(64, s.dim, 33)
-	b.Run("Plain", func(b *testing.B) {
-		var seen float64
-		for i := 0; i < b.N; i++ {
-			_, st, err := s.ix.TopN(ws[i%len(ws)], 10)
-			if err != nil {
-				b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		m    core.PruningMode
+	}{
+		{"LayersOnly", core.PruneLayersOnly},
+		{"Shells", core.PruneAll},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			ix.SetPruningMode(mode.m)
+			var seen, skipped float64
+			for i := 0; i < b.N; i++ {
+				_, st, err := ix.TopN(ws[i%len(ws)], 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				seen += float64(st.RecordsEvaluated)
+				skipped += float64(st.RecordsSkippedByShells)
 			}
-			seen += float64(st.RecordsEvaluated)
-		}
-		b.ReportMetric(seen/float64(b.N), "records/query")
-	})
-	b.Run("Shells", func(b *testing.B) {
-		var seen float64
-		for i := 0; i < b.N; i++ {
-			_, st, err := sx.TopN(ws[i%len(ws)], 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seen += float64(st.RecordsEvaluated)
-		}
-		b.ReportMetric(seen/float64(b.N), "records/query")
-	})
+			b.ReportMetric(seen/float64(b.N), "records/query")
+			b.ReportMetric(skipped/float64(b.N), "skipped/query")
+		})
+	}
 }
 
 // BenchmarkHierarchyModes compares the paper's parent-pruned global

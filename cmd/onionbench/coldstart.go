@@ -330,7 +330,7 @@ func checkColdstartConfig(heap, decoded, mapped *core.Index, recs []core.Record,
 			}
 		}
 	}
-	// Batch: all weights in one fused pass, per-query results must match
+	// Batch: all weights in one request, per-query results must match
 	// the solo runs on every backing.
 	baseBatch, _, err := heap.TopNBatch(ws, topn)
 	if err != nil {

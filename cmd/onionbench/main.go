@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fagin"
 	"repro/internal/hierarchy"
-	"repro/internal/shells"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -49,7 +48,7 @@ var (
 	buildWorkersFlag = flag.String("build-workers", "1,2,4,8", "build-scaling: comma-separated worker counts to sweep")
 	buildOutFlag     = flag.String("build-out", "BENCH_build.json", "build-scaling: summary JSON output path")
 
-	queryScalingFlag = flag.Bool("query-scaling", false, "sweep query scoring paths (legacy/columnar/pruned/shells/batch) across dims, corpus sizes and worker counts instead of running experiments; emits -query-out JSON")
+	queryScalingFlag = flag.Bool("query-scaling", false, "sweep query pruning modes (columnar/pruned/shells) across dims, corpus sizes and worker counts instead of running experiments; emits -query-out JSON")
 	queryWorkersFlag = flag.String("query-workers", "1,4", "query-scaling: comma-separated worker counts to sweep and cross-check")
 	queryTopNsFlag   = flag.String("query-topns", "10,100", "query-scaling: comma-separated top-N depths to sweep")
 	queryOutFlag     = flag.String("query-out", "BENCH_query.json", "query-scaling: summary JSON output path")
@@ -308,7 +307,7 @@ func buildTestSets(n int) []*testSet {
 			// same results but fewer evaluations, so it would silently
 			// deflate every reproduced number; -query-scaling measures its
 			// effect separately.
-			ix.SetLayerPruning(false)
+			ix.SetPruningMode(core.PruneNothing)
 			fmt.Printf("built %-12s n=%d layers=%d in %v\n", name, n, ix.NumLayers(), time.Since(start).Round(time.Millisecond))
 			sets[i] = &testSet{name: name, dist: dist, dim: dim, ix: ix, n: n}
 		}(i, s.name, s.dist, s.dim)
@@ -670,29 +669,41 @@ func faginExp(n, queries int) {
 	fmt.Println()
 }
 
-// shellsExp is the Section 6 ablation: plain layers vs spherical shells.
+// shellsExp is the Section 6 ablation: on a shell-mode copy of each
+// test set, the layer-pruned walk (PruneLayersOnly) against the same
+// walk with spherical-shell pruning (PruneAll). Both access the same
+// layers and return the same answers, so the shells' saving is exactly
+// RecordsSkippedByShells; the run fails if the accounting disagrees.
 func shellsExp(sets []*testSet, queries int) {
 	fmt.Println("=== Figure 11 / Section 6: spherical-shell ablation (records evaluated) ===")
-	fmt.Printf("%-12s | %6s | %12s | %12s | %6s\n", "test set", "N", "plain", "shells", "ratio")
+	fmt.Printf("%-12s | %6s | %12s | %12s | %12s | %6s\n", "test set", "N", "layers-only", "shells", "skipped", "ratio")
 	for _, s := range sets {
-		sx := shells.New(s.ix)
+		ix := s.ix.Clone()
+		ix.SetShellPruning(true)
 		ws := workload.QueryWeights(queries, s.dim, *seedFlag+7)
 		for _, topn := range []int{10, 100} {
-			var plain, shelled float64
+			var plain, shelled, skipped float64
 			for _, w := range ws {
-				_, st, err := s.ix.TopN(w, topn)
+				ix.SetPruningMode(core.PruneLayersOnly)
+				res, st, err := ix.TopN(w, topn)
 				if err != nil {
 					fatal(err)
+				}
+				ix.SetPruningMode(core.PruneAll)
+				res2, st2, err := ix.TopN(w, topn)
+				if err != nil {
+					fatal(err)
+				}
+				if !sameResults(res, res2) || st.RecordsEvaluated != st2.RecordsEvaluated+st2.RecordsSkippedByShells {
+					fatal(fmt.Errorf("%s top-%d: shell pruning changed the answer or its accounting", s.name, topn))
 				}
 				plain += float64(st.RecordsEvaluated)
-				_, st2, err := sx.TopN(w, topn)
-				if err != nil {
-					fatal(err)
-				}
 				shelled += float64(st2.RecordsEvaluated)
+				skipped += float64(st2.RecordsSkippedByShells)
 			}
-			fmt.Printf("%-12s | %6d | %12.1f | %12.1f | %6.2f\n",
-				s.name, topn, plain/float64(len(ws)), shelled/float64(len(ws)), shelled/plain)
+			q := float64(len(ws))
+			fmt.Printf("%-12s | %6d | %12.1f | %12.1f | %12.1f | %6.2f\n",
+				s.name, topn, plain/q, shelled/q, skipped/q, shelled/plain)
 		}
 	}
 	fmt.Println()

@@ -17,33 +17,30 @@ import (
 //
 // The paper's evaluation counts records and layers (Table 1, Figure 9);
 // this mode measures what those counts cost on a real machine, across
-// the three scoring paths the index now has:
+// the pruning modes of the one columnar walk:
 //
-//	legacy          per-record []float64 walk, no slabs, no pruning
 //	columnar        contiguous layer slabs, strided kernels, no pruning
+//	                (the paper's full evaluation, PruneNothing)
 //	columnar+prune  slabs plus the Cauchy–Schwarz/axis-box layer bound
 //	shells          + spherical-shell intra-layer pruning (paper §6):
 //	                slabs bucket-ordered around each layer centroid,
 //	                angular buckets skipped by score bound
-//	batch=K         TopNBatch, K queries fused per slab pass
-//	shells+batch=K  the fused pass with shell pruning per query
 //
 // Before any timing, every (corpus × worker count) combination is
-// cross-checked: legacy, columnar (pruned and unpruned), shells (solo
-// and batched) and the batch driver must return bit-identical results
-// (IDs, score bits, layers, order), and the legacy reference itself is
-// checked against a brute-force scan. Shells are additionally checked
-// with an active delta buffer — insert-only (shell tables live) and
-// with tombstones (the shell path must stand down for deadMax) — so
-// the §6 structure composes with the LSM write path. Any mismatch
-// exits non-zero — scripts/ci.sh runs a small sweep as a regression
-// gate on exactly this property.
+// cross-checked: each mode must return bit-identical results (IDs,
+// score bits, layers, order) to the unpruned walk at the first worker
+// count, TopNBatch must match solo TopN, and that reference itself is
+// checked against a brute-force scan on a sample of the queries.
+// Shells are additionally checked with an active delta buffer —
+// insert-only (shell tables live) and with tombstones (the shell path
+// must stand down for deadMax) — so the §6 structure composes with the
+// LSM write path. Any mismatch exits non-zero — scripts/ci.sh runs a
+// small sweep as a regression gate on exactly this property.
 //
 // The summary lands in -query-out (BENCH_query.json) next to
-// BENCH_build.json and BENCH_server.json. The headline block is the
-// committed acceptance number: columnar vs legacy ns/query on the
-// largest 4D corpus at one worker, with num_cpu alongside so readers
-// can judge the parallel rows.
+// BENCH_build.json and BENCH_server.json. The headline block is the §6
+// acceptance ratio on the largest 4D corpus at one worker, with num_cpu
+// alongside so readers can judge the parallel rows.
 
 // queryScalingRun is one measured configuration of the sweep.
 type queryScalingRun struct {
@@ -53,29 +50,22 @@ type queryScalingRun struct {
 	TopN             int     `json:"topn"`
 	Mode             string  `json:"mode"`
 	Workers          int     `json:"workers"`
-	Batch            int     `json:"batch,omitempty"`
 	NsPerQuery       float64 `json:"ns_per_query"`
 	QueriesPerSec    float64 `json:"queries_per_sec"`
 	RecordsEvaluated float64 `json:"records_evaluated_avg"`
 	LayersPruned     float64 `json:"layers_pruned_avg,omitempty"`
 	RecordsSkipped   float64 `json:"records_skipped_by_shells_avg,omitempty"`
-	SpeedupVsLegacy  float64 `json:"speedup_vs_legacy,omitempty"`
 }
 
 // queryHeadline is the acceptance number: the largest 4D corpus,
 // sequential workers, smallest top-N (the paper's interactive shape).
 type queryHeadline struct {
-	Dim                     int     `json:"dim"`
-	N                       int     `json:"n"`
-	TopN                    int     `json:"topn"`
-	Workers                 int     `json:"workers"`
-	SpeedupColumnarVsLegacy float64 `json:"speedup_columnar_vs_legacy"`
-	SpeedupPrunedVsLegacy   float64 `json:"speedup_pruned_vs_legacy"`
-	SpeedupShellsVsLegacy   float64 `json:"speedup_shells_vs_legacy"`
-	SpeedupBatchVsLegacy    float64 `json:"speedup_batch_vs_legacy"`
+	Dim     int `json:"dim"`
+	N       int `json:"n"`
+	TopN    int `json:"topn"`
+	Workers int `json:"workers"`
 	// RecordsCutShellsVsPrune is the §6 acceptance ratio: average
-	// records evaluated by columnar+prune divided by the shells mode's,
-	// same corpus / top-N / workers as the headline speedups.
+	// records evaluated by columnar+prune divided by the shells mode's.
 	RecordsCutShellsVsPrune float64 `json:"records_cut_shells_vs_prune"`
 }
 
@@ -90,7 +80,6 @@ type queryScalingSummary struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    []int  `json:"workers"`
 	TopNs      []int  `json:"topns"`
-	BatchSizes []int  `json:"batch_sizes"`
 	// ServingMode records what backs the measured slabs. The sweep
 	// builds its indexes in process, so this is always "heap" here; the
 	// field exists so BENCH_query.json and BENCH_mmap.json (which
@@ -113,14 +102,8 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 	if err != nil {
 		fatal(fmt.Errorf("-query-topns: %w", err))
 	}
-	batchSizes := []int{8, 32}
 	if queries < 1 {
 		queries = 1
-	}
-	for _, bs := range batchSizes {
-		if queries < bs {
-			queries = bs // each batch size needs at least one full batch
-		}
 	}
 
 	// Corpora: the paper's evaluated dimensionalities at two scales, so
@@ -153,7 +136,6 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		Workers:         workers,
 		TopNs:           topNs,
-		BatchSizes:      batchSizes,
 		ServingMode:     "heap",
 		IdenticalOutput: true,
 	}
@@ -182,78 +164,36 @@ func queryScaling(n, queries int, workerList, topNList, outPath string) {
 				fatal(fmt.Errorf("%dD n=%d top-%d: %w", spec.dim, spec.n, topn, err))
 			}
 		}
-		fmt.Printf("  equivalence: columnar ≡ legacy ≡ batch ≡ shells ≡ brute force at workers %v (delta on/off)\n", workers)
+		fmt.Printf("  equivalence: columnar ≡ +prune ≡ shells ≡ batch ≡ brute force at workers %v (delta on/off)\n", workers)
 
-		fmt.Printf("  %5s %8s | %-15s | %12s | %10s | %8s\n",
-			"topn", "workers", "mode", "ns/query", "records", "speedup")
+		fmt.Printf("  %5s %8s | %-15s | %12s | %10s\n",
+			"topn", "workers", "mode", "ns/query", "records")
 		for _, topn := range topNs {
 			for _, w := range workers {
 				ix.SetParallelism(w)
-
-				ix.DropSlabs()
-				ix.SetLayerPruning(false)
-				legacyNs, recAvg, _, _ := measureSolo(ix, ws, topn)
-				report := func(mode string, batch int, ns, rec, pruned, skipped float64) {
-					run := queryScalingRun{
+				for _, m := range queryModes {
+					m.set(ix)
+					ns, rec, pruned, skipped := measureSolo(ix, ws, topn)
+					summary.Runs = append(summary.Runs, queryScalingRun{
 						Dim: spec.dim, N: spec.n, Layers: ix.NumLayers(),
-						TopN: topn, Mode: mode, Workers: w, Batch: batch,
+						TopN: topn, Mode: m.name, Workers: w,
 						NsPerQuery:       ns,
 						QueriesPerSec:    1e9 / ns,
 						RecordsEvaluated: rec,
 						LayersPruned:     pruned,
 						RecordsSkipped:   skipped,
-					}
-					if mode != "legacy" {
-						run.SpeedupVsLegacy = legacyNs / ns
-					}
-					summary.Runs = append(summary.Runs, run)
-					sp := "       -"
-					if run.SpeedupVsLegacy > 0 {
-						sp = fmt.Sprintf("%7.2fx", run.SpeedupVsLegacy)
-					}
-					fmt.Printf("  %5d %8d | %-15s | %12.0f | %10.1f | %s\n",
-						topn, w, mode, ns, rec, sp)
+					})
+					fmt.Printf("  %5d %8d | %-15s | %12.0f | %10.1f\n", topn, w, m.name, ns, rec)
 				}
-				report("legacy", 0, legacyNs, recAvg, 0, 0)
-
-				ix.BuildSlabs()
-				colNs, colRec, _, _ := measureSolo(ix, ws, topn)
-				report("columnar", 0, colNs, colRec, 0, 0)
-
-				ix.SetLayerPruning(true)
-				prNs, prRec, prPruned, _ := measureSolo(ix, ws, topn)
-				report("columnar+prune", 0, prNs, prRec, prPruned, 0)
-
-				ix.SetShellPruning(true)
-				shNs, shRec, shPruned, shSkipped := measureSolo(ix, ws, topn)
-				report("shells", 0, shNs, shRec, shPruned, shSkipped)
-				ix.SetShellPruning(false)
-
-				for _, bs := range batchSizes {
-					bNs := measureBatch(ix, ws, topn, bs)
-					report(fmt.Sprintf("batch=%d", bs), bs, bNs, prRec, prPruned, 0)
-				}
-				ix.SetShellPruning(true)
-				for _, bs := range batchSizes {
-					bNs := measureBatch(ix, ws, topn, bs)
-					report(fmt.Sprintf("shells+batch=%d", bs), bs, bNs, shRec, shPruned, shSkipped)
-				}
-				ix.SetShellPruning(false)
 			}
 		}
-		// Leave the index in the shipped configuration (harmless here,
-		// but keeps the loop honest if corpora are ever reused).
-		ix.BuildSlabs()
-		ix.SetLayerPruning(true)
 		fmt.Println()
 	}
 
 	summary.Headline = pickHeadline(summary.Runs)
 	if h := summary.Headline; h != nil {
-		fmt.Printf("headline (%dD, n=%d, top-%d, %d worker(s), %d CPU(s)): columnar %.2fx, +prune %.2fx, shells %.2fx, batch %.2fx vs legacy; shells cut records %.2fx vs +prune\n",
-			h.Dim, h.N, h.TopN, h.Workers, summary.NumCPU,
-			h.SpeedupColumnarVsLegacy, h.SpeedupPrunedVsLegacy, h.SpeedupShellsVsLegacy,
-			h.SpeedupBatchVsLegacy, h.RecordsCutShellsVsPrune)
+		fmt.Printf("headline (%dD, n=%d, top-%d, %d worker(s), %d CPU(s)): shells cut records %.2fx vs +prune\n",
+			h.Dim, h.N, h.TopN, h.Workers, summary.NumCPU, h.RecordsCutShellsVsPrune)
 	}
 
 	data, err := json.MarshalIndent(summary, "", "  ")
@@ -285,28 +225,18 @@ func pickHeadline(runs []queryScalingRun) *queryHeadline {
 			h.TopN = r.TopN
 		}
 	}
-	bestBatch := 0.0
 	prunedRec, shellsRec := 0.0, 0.0
 	for _, r := range runs {
 		if r.Dim != h.Dim || r.N != h.N || r.TopN != h.TopN || r.Workers != 1 {
 			continue
 		}
 		switch r.Mode {
-		case "columnar":
-			h.SpeedupColumnarVsLegacy = r.SpeedupVsLegacy
 		case "columnar+prune":
-			h.SpeedupPrunedVsLegacy = r.SpeedupVsLegacy
 			prunedRec = r.RecordsEvaluated
 		case "shells":
-			h.SpeedupShellsVsLegacy = r.SpeedupVsLegacy
 			shellsRec = r.RecordsEvaluated
-		default:
-			if r.Batch > 0 && r.SpeedupVsLegacy > bestBatch {
-				bestBatch = r.SpeedupVsLegacy
-			}
 		}
 	}
-	h.SpeedupBatchVsLegacy = bestBatch
 	if shellsRec > 0 {
 		h.RecordsCutShellsVsPrune = prunedRec / shellsRec
 	}
@@ -343,107 +273,53 @@ func measureSolo(ix *core.Index, ws [][]float64, topn int) (nsPerQuery, recAvg, 
 	return float64(time.Since(start).Nanoseconds()) / float64(done), recAvg, prunedAvg, skippedAvg
 }
 
-// measureBatch times TopNBatch with the query set carved into batches
-// of the given size (a trailing short batch is dropped — every timed
-// pass does identical work).
-func measureBatch(ix *core.Index, ws [][]float64, topn, batchSize int) float64 {
-	var batches [][][]float64
-	for i := 0; i+batchSize <= len(ws); i += batchSize {
-		batches = append(batches, ws[i:i+batchSize])
-	}
-	perPass := len(batches) * batchSize
-	runPass := func() {
-		for _, b := range batches {
-			if _, _, err := ix.TopNBatch(b, topn); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	runPass() // warm
-	done := 0
-	start := time.Now()
-	for time.Since(start) < 150*time.Millisecond {
-		runPass()
-		done += perPass
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(done)
+// queryMode is one pruning configuration of the columnar walk.
+type queryMode struct {
+	name string
+	set  func(ix *core.Index)
 }
 
-// checkQueryEquivalence asserts that every scoring path returns
-// bit-identical results at every worker count, and that the legacy
-// reference agrees with a brute-force scan of the raw records.
+// queryModes lists the swept configurations; the first, the paper's
+// unpruned walk, is the equivalence gate's reference.
+var queryModes = []queryMode{
+	{"columnar", func(ix *core.Index) { ix.SetShellPruning(false); ix.SetPruningMode(core.PruneNothing) }},
+	{"columnar+prune", func(ix *core.Index) { ix.SetShellPruning(false); ix.SetPruningMode(core.PruneAll) }},
+	{"shells", func(ix *core.Index) { ix.SetShellPruning(true); ix.SetPruningMode(core.PruneAll) }},
+}
+
+// checkQueryEquivalence asserts that every mode, and TopNBatch, returns
+// bit-identical results at every worker count, and that the reference —
+// the unpruned walk at the first worker count — agrees with a
+// brute-force scan of the raw records on a sample of the queries.
 func checkQueryEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int, workers []int) error {
 	defer ix.SetParallelism(workers[0])
-	var ref [][]core.Result // reference: legacy at workers[0]
-	for wi, w := range workers {
+	var ref [][]core.Result
+	for _, w := range workers {
 		ix.SetParallelism(w)
-
-		ix.DropSlabs()
-		ix.SetLayerPruning(false)
-		legacy := make([][]core.Result, len(ws))
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
+		for _, m := range queryModes {
+			m.set(ix)
+			got := make([][]core.Result, len(ws))
+			for q, wt := range ws {
+				res, _, err := ix.TopN(wt, topn)
+				if err != nil {
+					return err
+				}
+				got[q] = res
+			}
+			if ref == nil {
+				ref = got
+			}
+			batched, _, err := ix.TopNBatch(ws, topn)
 			if err != nil {
 				return err
 			}
-			legacy[q] = res
-		}
-		if wi == 0 {
-			ref = legacy
-		}
-
-		ix.BuildSlabs()
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(ref[q], res) {
-				return fmt.Errorf("columnar diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		ix.SetLayerPruning(true)
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(ref[q], res) {
-				return fmt.Errorf("columnar+prune diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		batched, _, err := ix.TopNBatch(ws, topn)
-		if err != nil {
-			return err
-		}
-		for q := range ws {
-			if !sameResults(ref[q], batched[q]) {
-				return fmt.Errorf("batch driver diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		ix.SetShellPruning(true)
-		for q, wt := range ws {
-			res, _, err := ix.TopN(wt, topn)
-			if err != nil {
-				return err
-			}
-			if !sameResults(ref[q], res) {
-				return fmt.Errorf("shells diverge from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		shBatched, _, err := ix.TopNBatch(ws, topn)
-		if err != nil {
-			return err
-		}
-		for q := range ws {
-			if !sameResults(ref[q], shBatched[q]) {
-				return fmt.Errorf("shells batch driver diverges from legacy (query %d, workers=%d)", q, w)
-			}
-		}
-		ix.SetShellPruning(false)
-		for q := range legacy { // cross-worker determinism of the legacy walk itself
-			if !sameResults(ref[q], legacy[q]) {
-				return fmt.Errorf("legacy walk not deterministic across workers (query %d, workers=%d)", q, w)
+			for q := range ws {
+				if !sameResults(ref[q], got[q]) {
+					return fmt.Errorf("%s diverges from the unpruned walk (query %d, workers=%d)", m.name, q, w)
+				}
+				if !sameResults(got[q], batched[q]) {
+					return fmt.Errorf("%s: TopNBatch diverges from solo TopN (query %d, workers=%d)", m.name, q, w)
+				}
 			}
 		}
 	}
@@ -476,8 +352,7 @@ func checkQueryEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, t
 // still covers every base record).
 func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int) error {
 	dim := len(recs[0].Vector)
-	ix.BuildSlabs()
-	ix.SetLayerPruning(true)
+	ix.SetPruningMode(core.PruneAll)
 	extraPts := workload.Points(workload.Gaussian, 48, dim, *seedFlag+303)
 	extra := make([]core.Record, len(extraPts))
 	for i, p := range extraPts {
@@ -520,15 +395,6 @@ func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]floa
 			}
 			if !sameResults(off[q], res) {
 				return fmt.Errorf("delta %s: shells diverge from shells-off (query %d)", shape.name, q)
-			}
-		}
-		batched, _, err := dc.TopNBatch(ws, topn)
-		if err != nil {
-			return err
-		}
-		for q := range ws {
-			if !sameResults(off[q], batched[q]) {
-				return fmt.Errorf("delta %s: shells batch driver diverges (query %d)", shape.name, q)
 			}
 		}
 		// Brute-force oracle over the merged record set, on a sample.

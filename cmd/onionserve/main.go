@@ -10,7 +10,7 @@
 // Endpoints:
 //
 //	POST /v1/topn       {"weights":[...], "n":10}          → ranked results + stats
-//	POST /v1/topn/batch {"weights":[[...],[...]], "n":10}  → many queries, one fused pass
+//	POST /v1/topn/batch {"weights":[[...],[...]], "n":10}  → many queries, one snapshot
 //	POST /v1/search     {"weights":[...], "limit":0}       → NDJSON progressive stream
 //	POST /v1/insert   {"records":[{"id":1,"vector":[...]}]}
 //	POST /v1/delete   {"ids":[1,2,3]}

@@ -97,7 +97,7 @@ func (ix *Index) compactClustered() error {
 	if err != nil {
 		return fmt.Errorf("core: clustered compact: %w", err)
 	}
-	opt := Options{Tol: ix.tol, Seed: ix.seed, Parallelism: ix.workers}
+	opt := Options{Tol: ix.tol, Seed: ix.seed, Parallelism: ix.workers, Shells: ix.shellMode}
 	var next *Index
 	if len(layers) == 0 {
 		next, err = Empty(ix.dim, opt)
@@ -113,11 +113,6 @@ func (ix *Index) compactClustered() error {
 	next.joggled = ix.joggled
 	next.noPrune = ix.noPrune
 	next.noShells = ix.noShells
-	// Rebuild the shell tables over the folded layers: FromLayers built
-	// plain slabs, so BuildSlabs only adds the bucket ordering + bound
-	// tables when shell mode is carried over.
-	next.shellMode = ix.shellMode
-	next.BuildSlabs()
 	next.cc = cc2
 	*ix = *next
 	return nil

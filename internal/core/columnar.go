@@ -70,10 +70,10 @@ type ShellBucketExport struct {
 // ExportColumnar returns the index's columnar state with positions
 // canonicalized to the contiguous per-layer numbering (see the package
 // comment above). The receiver is never mutated — safe on a published
-// snapshot — and the returned Data slices alias the index's slabs when
-// present, so the caller must treat them as read-only. Requires an
-// empty delta buffer: the unlayered delta has no columnar form, so a
-// checkpoint folds it first (CompactedClone).
+// snapshot — and the returned Data slices alias the index's slabs, so
+// the caller must treat them as read-only. Requires an empty delta
+// buffer: the unlayered delta has no columnar form, so a checkpoint
+// folds it first (CompactedClone).
 func (ix *Index) ExportColumnar() ([]ColumnarLayer, error) {
 	if ix.delta != nil {
 		return nil, errors.New("core: export columnar: delta buffer pending; compact first")
@@ -81,40 +81,19 @@ func (ix *Index) ExportColumnar() ([]ColumnarLayer, error) {
 	newPos := ix.canonicalPositions()
 	out := make([]ColumnarLayer, len(ix.layers))
 	var geo *shellgeom.Geometry
-	withShells := ix.shellTabs != nil && len(ix.shellTabs) == len(ix.layers)
-	if withShells {
+	if ix.shellMode {
 		g := shellgeom.For(ix.dim)
 		geo = &g
 	}
-	for k, layer := range ix.layers {
+	for k := range ix.layers {
 		cl := &out[k]
-		if sl := ix.slab(k); sl != nil {
-			cl.Data = sl.data
-			cl.Pos = remapPositions(sl.pos, newPos)
-			cl.MaxNorm = sl.maxNorm
-			cl.AxMin = sl.axMin
-			cl.AxMax = sl.axMax
-		} else {
-			// No slabs materialized (possible only on an index that never
-			// served queries): derive an equivalent plain-order slab into
-			// fresh arrays without touching the receiver.
-			pts, _ := ix.recViews()
-			data := make([]float64, len(layer)*ix.dim)
-			ids := make([]uint64, len(layer))
-			pos := make([]int, len(layer))
-			for i, p := range layer {
-				copy(data[i*ix.dim:(i+1)*ix.dim], pts[p])
-				ids[i] = ix.ids[p]
-				pos[i] = p
-			}
-			sl := newLayerSlab(data, ids, pos, ix.dim)
-			cl.Data = sl.data
-			cl.Pos = remapPositions(sl.pos, newPos)
-			cl.MaxNorm = sl.maxNorm
-			cl.AxMin = sl.axMin
-			cl.AxMax = sl.axMax
-		}
-		if withShells {
+		sl := &ix.slabs[k]
+		cl.Data = sl.data
+		cl.Pos = remapPositions(sl.pos, newPos)
+		cl.MaxNorm = sl.maxNorm
+		cl.AxMin = sl.axMin
+		cl.AxMax = sl.axMax
+		if ix.shellMode {
 			t := &ix.shellTabs[k]
 			ex := &ShellTableExport{
 				Center:  t.center,
@@ -209,18 +188,18 @@ func geometryAxisIndex(g *shellgeom.Geometry, axis []float64) (int, error) {
 // FromColumnar reconstructs a serving index from persisted columnar
 // state without re-deriving it. Slices are adopted by reference — Data,
 // Pos, the bound arrays, and the shell exports may all view a read-only
-// memory mapping and are NEVER written by the index (the first
-// structural mutation drops the slabs and copies what it touches). ids
-// must list record IDs in canonical position order; uniqueness is
-// trusted, not checked — validating it would cost exactly the O(n) map
-// build this path exists to defer (the checkpoint CRC and the v2
-// writer's invariants stand in for the check).
+// memory mapping and are NEVER written by the index (a structural
+// mutation builds fresh slabs for the layers it re-peels and keeps the
+// others as they are). ids must list record IDs in canonical position
+// order; uniqueness is trusted, not checked — validating it would cost
+// exactly the O(n) map build this path exists to defer (the checkpoint
+// CRC and the v2 writer's invariants stand in for the check).
 //
 // The ID→position map (posLazy) and the per-record vector/layer views
 // (recLazy) are deferred: the layer walk needs neither, so a restart
 // serves immediately and each materializes once, on first use (posMap
-// for LayerOf/Vector/delta lookups, recViews for record enumeration
-// and sorted columns), safely under concurrent readers. Per-result
+// for LayerOf/Vector/delta lookups, recViews for record enumeration),
+// safely under concurrent readers. Per-result
 // layer attribution needs no view at all — canonical numbering makes
 // position→layer a binary search over the layer bases (layerOfPos).
 //
@@ -444,8 +423,8 @@ type lazyRecs struct {
 // recViews returns the per-record views, materializing deferred ones
 // exactly once. Safe under concurrent readers of a shared snapshot:
 // the build only reads the immutable slabs. Forcing is reserved for
-// the record-enumeration paths (Vector, Layer, Records, sorted
-// columns, Clone) — the layer walk itself never calls it.
+// the record-enumeration paths (Vector, Layer, Records, Clone) — the
+// layer walk itself never calls it.
 func (ix *Index) recViews() ([][]float64, []int) {
 	if ix.recLazy == nil {
 		return ix.pts, ix.layerOf
@@ -525,8 +504,8 @@ type SlabSource interface {
 }
 
 // SetSlabSource attaches (or, with nil, detaches) the paging observer.
-// Clones share it; any structural mutation detaches it along with the
-// slabs it describes.
+// Clones share it; any structural mutation detaches it, since the
+// layers it numbers move.
 func (ix *Index) SetSlabSource(src SlabSource) { ix.slabSrc = src }
 
 // noteLayerAccess fires the paging hook, if any.

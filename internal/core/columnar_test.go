@@ -178,7 +178,7 @@ func TestColumnarMutationMaterializes(t *testing.T) {
 	}
 }
 
-func TestColumnarCloneAndSorted(t *testing.T) {
+func TestColumnarClone(t *testing.T) {
 	ix := buildShells(t, 200, 3, 9)
 	got := roundTripColumnar(t, ix, Options{Seed: 9})
 
@@ -196,40 +196,19 @@ func TestColumnarCloneAndSorted(t *testing.T) {
 		t.Fatal("clone of a deferred index answers differently")
 	}
 
-	// Single-axis fast path forces the deferred views.
-	got.EnableSortedColumns()
-	if !got.SortedColumnsEnabled() {
-		t.Fatal("sorted columns did not enable")
-	}
+	// A single-axis query — the paper's §2 degenerate case — answers
+	// through the same walk on the original and the deferred index.
 	axis := []float64{0, 1, 0}
 	ws, _, err := ix.TopN(axis, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, _, err := got.TopN(axis, 5)
+	gs, _, err := cp.TopN(axis, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ws, gs) {
-		t.Fatal("sorted fast path diverges on a deferred index")
-	}
-}
-
-func TestColumnarDropSlabsKeepsServing(t *testing.T) {
-	ix := buildShells(t, 150, 3, 13)
-	got := roundTripColumnar(t, ix, Options{Seed: 13})
-	got.DropSlabs() // must materialize the views before the slabs go
-	w := []float64{1, 1, -0.5}
-	want, _, err := ix.TopN(w, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, _, err := got.TopN(w, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, have) {
-		t.Fatal("record-walk fallback diverges after DropSlabs")
+		t.Fatal("single-axis query diverges on a clone of a deferred index")
 	}
 }
 

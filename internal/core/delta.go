@@ -145,7 +145,6 @@ func (ix *Index) deadPosSet() map[int]bool {
 // no hull work. Validation is all-or-nothing — a dimension mismatch or
 // duplicate ID (against the merged view and within the batch) rejects
 // the whole batch before any mutation, matching InsertBatch. The
-// sorted-column fast path is dropped (it cannot see the delta); the
 // columnar slabs stay — they describe the base layers, which are
 // untouched.
 func (ix *Index) InsertDelta(recs []Record) error {
@@ -160,7 +159,6 @@ func (ix *Index) InsertDelta(recs []Record) error {
 		seen[r.ID] = true
 	}
 	d := ix.ensureDelta()
-	ix.sorted = nil
 	for _, r := range recs {
 		vec := make([]float64, len(r.Vector))
 		copy(vec, r.Vector)
@@ -195,7 +193,6 @@ func (ix *Index) DeleteDelta(ids []uint64, missingOK bool) (int, error) {
 			continue
 		}
 		d := ix.ensureDelta()
-		ix.sorted = nil
 		if i, ok := d.byID[id]; ok {
 			// Swap-remove from the delta; fix the moved record's slot.
 			last := len(d.recs) - 1
@@ -275,9 +272,9 @@ func (ix *Index) CloneDelta() *Index {
 
 // Compact folds the pending delta into the layered base using the
 // batch cascades: tombstoned records leave via DeleteBatch, delta
-// records join via InsertBatch, and the columnar slabs are rebuilt.
-// The merged record set (and therefore every query answer) is
-// unchanged; only the layering is refreshed. Must run on a deep-owned
+// records join via InsertBatch, and both rebuild the slabs of the
+// layers they re-peel. The merged record set (and therefore every
+// query answer) is unchanged; only the layering is refreshed. Must run on a deep-owned
 // index (see CompactedClone); on a cascade error the index may be left
 // torn, so compact a disposable clone and discard it on failure.
 func (ix *Index) Compact() error {
@@ -295,7 +292,6 @@ func (ix *Index) Compact() error {
 	}
 	d := ix.delta
 	ix.delta = nil
-	ix.sorted = nil
 	if len(d.dead) > 0 {
 		deadIDs := make([]uint64, 0, len(d.dead))
 		for id := range d.dead {
@@ -311,7 +307,6 @@ func (ix *Index) Compact() error {
 			return fmt.Errorf("core: compact insert: %w", err)
 		}
 	}
-	ix.BuildSlabs()
 	return nil
 }
 

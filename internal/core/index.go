@@ -89,18 +89,17 @@ type Index struct {
 	seed    int64
 	workers int // parallelism bound (0 = one per CPU, 1 = sequential)
 	joggled bool
-	sorted  *sortedColumns // optional single-attribute fast path
 
-	// Columnar scoring layout (see slab.go). Derived, immutable state:
-	// built after construction, shared by clones, dropped on mutation.
+	// Columnar scoring layout (see slab.go): one slab per layer, always.
+	// Derived, immutable state shared by clones; maintenance replaces
+	// the slabs of the layers it re-peels.
 	slabs    []layerSlab
-	maxLayer int  // size of the largest layer when slabs are present
+	maxLayer int  // size of the largest layer
 	noPrune  bool // disables bound-based layer pruning (benchmarks/ablation)
 	noShells bool // disables shell (intra-layer) pruning only
 
-	// Spherical-shell tables (see shellslab.go). Derived, immutable
-	// state like the slabs: built alongside them when shellMode is on,
-	// shared by clones, dropped whenever the slabs drop.
+	// Spherical-shell tables (see shellslab.go): one per layer exactly
+	// when shellMode is on, kept alongside the slabs.
 	shellMode bool
 	shellTabs []shellTable
 
@@ -157,7 +156,9 @@ func Build(records []Record, opt Options) (*Index, error) {
 
 	// The paper's index-creation procedure (Section 3.1): construct the
 	// hull of the remaining set, emit its vertices as the next layer,
-	// remove them, repeat until empty.
+	// remove them, repeat until empty. The slabs are built once peeling
+	// is done, so their memory never adds to the hull scans' peak.
+	var layers [][]int
 	remaining := make([]int, len(records))
 	for i := range remaining {
 		remaining[i] = i
@@ -165,25 +166,25 @@ func Build(records []Record, opt Options) (*Index, error) {
 	assigned := 0
 	inLayer := make([]bool, len(records))
 	for len(remaining) > 0 {
-		if opt.MaxLayers > 0 && len(ix.layers) == opt.MaxLayers-1 {
+		if opt.MaxLayers > 0 && len(layers) == opt.MaxLayers-1 {
 			// Catch-all final layer.
 			last := make([]int, len(remaining))
 			copy(last, remaining)
-			ix.appendLayer(last)
+			layers = append(layers, last)
 			assigned += len(last)
 			if opt.Progress != nil {
-				opt.Progress(len(ix.layers), assigned, len(records))
+				opt.Progress(len(layers), assigned, len(records))
 			}
 			break
 		}
 		h, err := computeHull(ix.pts, remaining, hull.Options{Tol: opt.Tol, Seed: opt.Seed, Workers: ix.workers})
 		if err != nil {
-			return nil, fmt.Errorf("core: layer %d: %w", len(ix.layers)+1, err)
+			return nil, fmt.Errorf("core: layer %d: %w", len(layers)+1, err)
 		}
 		if h.Joggled() {
 			ix.joggled = true
 		}
-		ix.appendLayer(h.Vertices)
+		layers = append(layers, h.Vertices)
 		assigned += len(h.Vertices)
 		for _, v := range h.Vertices {
 			inLayer[v] = true
@@ -196,10 +197,12 @@ func Build(records []Record, opt Options) (*Index, error) {
 		}
 		remaining = next
 		if opt.Progress != nil {
-			opt.Progress(len(ix.layers), assigned, len(records))
+			opt.Progress(len(layers), assigned, len(records))
 		}
 	}
-	ix.BuildSlabs()
+	for _, l := range layers {
+		ix.appendLayer(l)
+	}
 	return ix, nil
 }
 
@@ -266,9 +269,8 @@ func (ix *Index) SetPruningMode(m PruningMode) {
 	}
 }
 
-// PruningMode reports the current pruning mode (whether each kind of
-// pruning takes effect still depends on the slabs / shell tables being
-// present).
+// PruningMode reports the current pruning mode (whether shell pruning
+// takes effect still depends on the shell tables being present).
 func (ix *Index) PruningMode() PruningMode {
 	switch {
 	case ix.noPrune:
@@ -280,51 +282,24 @@ func (ix *Index) PruningMode() PruningMode {
 	}
 }
 
-// SetLayerPruning is the historical on/off switch, kept as a shim over
-// SetPruningMode: off means no bound-based skipping at all (layer OR
-// shell — a caller asking for the paper-faithful full evaluation must
-// not get partial layers), on restores full pruning.
-func (ix *Index) SetLayerPruning(on bool) {
-	if on {
-		ix.SetPruningMode(PruneAll)
-	} else {
-		ix.SetPruningMode(PruneNothing)
-	}
-}
-
-// LayerPruning reports whether bound-based layer pruning is enabled
-// (it still requires the columnar slabs to be present to take effect).
-func (ix *Index) LayerPruning() bool { return !ix.noPrune }
-
 // SetShellPruning enables or disables the spherical-shell index mode at
-// runtime: on builds the shell tables (bucket-ordering the slabs) if
-// the columnar layout is present, off drops the tables. The slab row
-// order is part of the derived state either way — queries never depend
-// on it — so toggling is cheap and safe between queries, but not
-// concurrently with them.
+// runtime: on builds the shell tables (bucket-ordering the slabs), off
+// drops them. The slab row order is part of the derived state either
+// way — queries never depend on it — so toggling is cheap and safe
+// between queries, but not concurrently with them.
 func (ix *Index) SetShellPruning(on bool) {
-	ix.shellMode = on
-	if !on {
+	switch {
+	case !on:
 		ix.shellTabs = nil
-		return
-	}
-	if ix.slabs != nil && ix.shellTabs == nil {
+	case !ix.shellMode:
 		ix.buildShellTables()
 	}
+	ix.shellMode = on
 }
 
-// ShellPruning reports whether the shell index mode is enabled (the
-// tables may still be absent until BuildSlabs runs, and shell pruning
-// only takes effect in PruneAll mode).
+// ShellPruning reports whether the shell index mode is enabled (shell
+// pruning only takes effect in PruneAll mode).
 func (ix *Index) ShellPruning() bool { return ix.shellMode }
-
-func (ix *Index) appendLayer(positions []int) {
-	k := len(ix.layers)
-	ix.layers = append(ix.layers, positions)
-	for _, p := range positions {
-		ix.layerOf[p] = k
-	}
-}
 
 // SetParallelism adjusts the worker bound used by subsequent
 // maintenance hulls and large-layer query scoring: 0 means one worker

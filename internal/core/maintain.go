@@ -133,20 +133,17 @@ func (ix *Index) Delete(id uint64) error {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
 	k := ix.layerOf[pos]
+	ix.unalloc(id, pos)
 	// S = L_k − {r}; the cascade merges S with layer k+1 and re-peels.
-	carry := make([]int, 0, len(ix.layers[k])-1)
-	for _, p := range ix.layers[k] {
+	// Layer k itself is dropped: carry replaces it.
+	cut := ix.cutLayers(k)
+	carry := make([]int, 0, len(cut[0].pos)-1)
+	for _, p := range cut[0].pos {
 		if p != pos {
 			carry = append(carry, p)
 		}
 	}
-	ix.unalloc(id, pos)
-	// Drop layer k itself; the cascade re-peels carry against the old
-	// inner layers.
-	rest := make([][]int, len(ix.layers)-k-1)
-	copy(rest, ix.layers[k+1:])
-	ix.layers = ix.layers[:k]
-	return ix.resolve(carry, rest)
+	return ix.resolve(carry, cut[1:])
 }
 
 // DeleteBatch removes several records with one cascade from the
@@ -192,9 +189,7 @@ func (ix *Index) DeleteBatch(ids []uint64) error {
 		pos := ix.posOf[id]
 		ix.unalloc(id, pos)
 	}
-	rest := make([][]int, len(ix.layers)-minK)
-	copy(rest, ix.layers[minK:])
-	ix.layers = ix.layers[:minK]
+	rest := ix.cutLayers(minK)
 
 	// The cascade generalizes the paper's single-record rule: removing a
 	// vertex from layer j can expose points of layer j+1, so a pool
@@ -210,7 +205,7 @@ func (ix *Index) DeleteBatch(ids []uint64) error {
 		lastHadVictims := false
 		for {
 			lastHadVictims = false
-			for _, p := range rest[i] {
+			for _, p := range rest[i].pos {
 				if victims[p] {
 					lastHadVictims = true
 				} else {
@@ -247,7 +242,7 @@ func (ix *Index) DeleteBatch(ids []uint64) error {
 		carry = next
 		if len(carry) == 0 && !lastHadVictims && minK+i > deepest {
 			for _, l := range rest[i:] {
-				ix.appendLayer(l)
+				ix.attachLayer(l)
 			}
 			return nil
 		}
@@ -292,13 +287,9 @@ func (ix *Index) Update(id uint64, vector []float64) error {
 }
 
 // alloc stores a record and returns its position. Any mutation
-// invalidates the optional sorted-column fast path and the columnar
-// scoring slabs (both are derived from a layer partition this mutation
-// is about to change), and detaches the hierarchical compactor (its
-// per-cluster record sets no longer describe the base).
+// detaches the hierarchical compactor (its per-cluster record sets no
+// longer describe the base).
 func (ix *Index) alloc(rec Record) int {
-	ix.sorted = nil
-	ix.invalidateSlabs()
 	ix.cc = nil
 	vec := make([]float64, len(rec.Vector))
 	copy(vec, rec.Vector)
@@ -321,8 +312,6 @@ func (ix *Index) alloc(rec Record) int {
 
 // unalloc releases a position (used on insert failure and by Delete).
 func (ix *Index) unalloc(id uint64, pos int) {
-	ix.sorted = nil
-	ix.invalidateSlabs()
 	ix.cc = nil
 	delete(ix.posOf, id)
 	ix.pts[pos] = nil
@@ -367,31 +356,27 @@ func (ix *Index) layerHull(k int) (*hull.Hull, error) {
 // the paper's insertion pseudocode: merge carry with layer k, keep the
 // hull vertices as the new layer k, carry the remainder to layer k+1.
 func (ix *Index) cascade(k int, carry []int) error {
-	// Copy the suffix: resolve re-appends onto ix.layers and would
-	// otherwise clobber the very slots rest still points at.
-	rest := make([][]int, len(ix.layers)-k)
-	copy(rest, ix.layers[k:])
-	ix.layers = ix.layers[:k]
-	return ix.resolve(carry, rest)
+	return ix.resolve(carry, ix.cutLayers(k))
 }
 
 // resolve re-peels: pool = carry ∪ next old layer; the pool's hull
 // vertices become the next new layer; non-vertices are carried deeper.
 // When the carry empties, the untouched old layers are still valid (they
-// are enclosed by the layer just emitted) and are reattached as-is.
-func (ix *Index) resolve(carry []int, rest [][]int) error {
+// are enclosed by the layer just emitted) and are reattached as-is,
+// slabs included.
+func (ix *Index) resolve(carry []int, rest []layerState) error {
 	for {
 		if len(carry) == 0 {
 			for _, l := range rest {
-				ix.appendLayer(l)
+				ix.attachLayer(l)
 			}
 			return nil
 		}
 		pool := carry
 		if len(rest) > 0 {
-			pool = make([]int, 0, len(carry)+len(rest[0]))
+			pool = make([]int, 0, len(carry)+len(rest[0].pos))
 			pool = append(pool, carry...)
-			pool = append(pool, rest[0]...)
+			pool = append(pool, rest[0].pos...)
 			rest = rest[1:]
 		}
 		h, err := computeHull(ix.pts, pool, ix.hullOpts())

@@ -51,10 +51,8 @@ var scoreParallelMin = 4096
 
 // ErrNonFiniteWeight is returned by queries whose weight vector carries
 // a NaN or ±Inf component. Such weights would otherwise flow straight
-// through the arithmetic: NaN poisons every score (and defeats the
-// heap ordering, yielding garbage ranks), and the single-axis test
-// counts NaN as a live axis, so the sorted-column fast path would
-// happily emit NaN-scored results. Rejecting at the query boundary
+// through the arithmetic: NaN poisons every score and defeats the heap
+// ordering, yielding garbage ranks. Rejecting at the query boundary
 // keeps every downstream comparison meaningful.
 var ErrNonFiniteWeight = errors.New("core: non-finite weight")
 
@@ -89,8 +87,6 @@ func ValidateWeights(weights []float64, dim int) error {
 // beats the maximum of the current layer, which no deeper layer can
 // exceed (Corollary 1).
 func (ix *Index) TopN(weights []float64, n int) ([]Result, Stats, error) {
-	// Validate before consulting any fast path so that a bad weight
-	// vector fails identically whether or not sorted columns are enabled.
 	if err := ValidateWeights(weights, ix.dim); err != nil {
 		return nil, Stats{}, err
 	}
@@ -100,12 +96,6 @@ func (ix *Index) TopN(weights []float64, n int) ([]Result, Stats, error) {
 		// unbounded stream — a sensible default for progressive retrieval
 		// but an OOM-shaped surprise for a bounded one-shot query.)
 		return nil, Stats{}, nil
-	}
-	if ix.sorted != nil {
-		if axis, ok := singleAxis(weights); ok {
-			res, st := ix.topNSorted(weights, axis, n)
-			return res, st, nil
-		}
 	}
 	s := ix.NewSearcher(weights, n)
 	// n is caller-controlled; clamp the preallocation by the number of
@@ -280,35 +270,6 @@ func (s *Searcher) deliverBase() Result {
 	return r
 }
 
-// popBuffered delivers one already-computed result without ever
-// advancing a layer — the hand-crank the batch driver uses to drain
-// each searcher's emit buffer between lockstep layer evaluations. It
-// performs exactly Next's delivery bookkeeping, including the delta
-// merge: a delta record is delivered only when it beats a buffered
-// base head (when the buffer is empty the next base result is unknown,
-// so the driver must advance a layer or finish the query through Next
-// before the delta may drain).
-func (s *Searcher) popBuffered() (Result, bool) {
-	if s.remain == 0 {
-		return Result{}, false
-	}
-	baseOK := s.emitPos < len(s.emit)
-	if s.deltaRank != nil && s.deltaPos < len(s.deltaRank) && baseOK {
-		d := s.deltaRank[s.deltaPos]
-		if topk.ResultGreater(d.Score, d.ID, s.emit[s.emitPos].Score, s.emit[s.emitPos].ID) {
-			s.deltaPos++
-			if s.remain > 0 {
-				s.remain--
-			}
-			return d, true
-		}
-	}
-	if !baseOK {
-		return Result{}, false
-	}
-	return s.deliverBase(), true
-}
-
 // advance evaluates one more layer (or drains the candidate set once
 // layers are exhausted or pruned away) and refills the emit buffer. It
 // reports false when nothing remains.
@@ -324,30 +285,20 @@ func (s *Searcher) advance() bool {
 	// chance to advise the layer's extents in. Pruned layers never get
 	// here, so skipped scoring is skipped I/O too.
 	ix.noteLayerAccess(s.k)
-	layer := ix.layers[s.k]
+	sl := &ix.slabs[s.k]
 	if s.remain > 0 {
 		// Shell evaluation needs a bounded keep so the collector can fill
 		// and its threshold become a pruning floor; unbounded searches
 		// keep every record anyway, so the full scan is already optimal.
 		if t := ix.shellTab(s.k); t != nil {
-			s.consumeLayerShells(len(layer), ix.slab(s.k), t)
+			s.consumeLayerShells(sl, t)
 			return true
 		}
 	}
-	scores := s.layerScores(layer)
-	s.consumeLayer(s.layerPositions(layer), scores)
+	// sl.pos, not the layer slice: shell tables may have bucket-reordered
+	// the slab rows the scores follow.
+	s.consumeLayer(sl.pos, s.layerScores(sl))
 	return true
-}
-
-// layerPositions returns the position list parallel to layerScores'
-// output for the current layer: the slab's pos array when a slab exists
-// (its rows may be bucket-reordered relative to the layer slice by the
-// shell tables), the layer slice itself otherwise.
-func (s *Searcher) layerPositions(layer []int) []int {
-	if sl := s.ix.slab(s.k); sl != nil {
-		return sl.pos
-	}
-	return layer
 }
 
 // drainCandidates finalizes pending candidates once no deeper layer can
@@ -368,19 +319,19 @@ func (s *Searcher) drainCandidates() bool {
 	return len(s.emit) > 0
 }
 
-// tryPrune integrates the paper's Section 6 bound-based pruning
-// (internal/shells) into the core walk: when the searcher already holds
-// at least `remain` candidates whose scores strictly beat layer k's
-// score bound — which, by hull nesting, also bounds every deeper layer
-// — no unscored record can ever enter the remaining top results, so
-// the walk ends and the candidates drain in heap order. The strict
+// tryPrune integrates the paper's Section 6 bound-based pruning into
+// the core walk: when the searcher already holds at least `remain`
+// candidates whose scores strictly beat layer k's score bound — which,
+// by hull nesting, also bounds every deeper layer — no unscored record
+// can ever enter the remaining top results, so the walk ends and the
+// candidates drain in heap order. The strict
 // comparison is what keeps the output bit-identical to the unpruned
-// walk: at an exact tie the record-walk prefers the deeper layer's
+// walk: at an exact tie the unpruned walk may prefer the deeper layer's
 // record, so a tied bound must not prune. Reports whether it pruned
 // (s.k jumps past the last layer).
 func (s *Searcher) tryPrune() bool {
 	ix := s.ix
-	if s.remain <= 0 || ix.slabs == nil || ix.noPrune {
+	if s.remain <= 0 || ix.noPrune {
 		return false
 	}
 	if s.cand.Len() < s.remain {
@@ -422,66 +373,38 @@ func (s *Searcher) ensureWNorm() {
 }
 
 // ensureScoreBuf guarantees scratch for n scores, sized once at the
-// largest layer when the columnar layout is present so warm advances
-// never reallocate.
+// largest layer so warm advances never reallocate.
 func (s *Searcher) ensureScoreBuf(n int) []float64 {
 	if cap(s.scoreBuf) < n {
-		sz := n
-		if s.ix.slabs != nil && s.ix.maxLayer > sz {
-			sz = s.ix.maxLayer
-		}
-		s.scoreBuf = make([]float64, sz)
+		s.scoreBuf = make([]float64, max(n, s.ix.maxLayer))
 	}
 	return s.scoreBuf[:n]
 }
 
-// layerScores fills the score scratch for the searcher's current layer:
-// a strided pass over the columnar slab when one exists, the legacy
-// record-walk over pts otherwise. Large layers are partitioned across
-// the worker pool by slab row range; each worker fills its own slots,
-// and the heap then consumes the scores in layer order, exactly as the
-// sequential loop would, so the selected top-k (ties included) is
-// identical at any parallelism.
-func (s *Searcher) layerScores(layer []int) []float64 {
-	ix := s.ix
-	n := len(layer)
+// layerScores scores every row of the current layer's slab into the
+// score scratch.
+func (s *Searcher) layerScores(sl *layerSlab) []float64 {
+	n := len(sl.pos)
 	scores := s.ensureScoreBuf(n)
-	workers := parallel.Workers(ix.workers)
-	if sl := ix.slab(s.k); sl != nil {
-		if workers > 1 && n >= scoreParallelMin {
-			w := s.weights
-			parallel.For(n, workers, scoreParallelMin, func(lo, hi int) {
-				scoreSlabRange(scores, sl.data, w, lo, hi)
-			})
-		} else {
-			scoreSlabRange(scores, sl.data, s.weights, 0, n)
-		}
-		return scores
-	}
-	pts, _ := ix.recViews()
-	if workers > 1 && n >= scoreParallelMin {
-		weights := s.weights
-		parallel.For(n, workers, scoreParallelMin, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := pts[layer[i]]
-				var score float64
-				for j, wj := range weights {
-					score += wj * v[j]
-				}
-				scores[i] = score
-			}
-		})
-	} else {
-		for i, p := range layer {
-			v := pts[p]
-			var score float64
-			for j, wj := range s.weights {
-				score += wj * v[j]
-			}
-			scores[i] = score
-		}
-	}
+	s.scoreRows(sl, scores, 0, n)
 	return scores
+}
+
+// scoreRows fills scores[i] = w·row_i for the slab rows [lo, hi).
+// Large runs are partitioned across the worker pool by row range; each
+// worker fills its own slots, and the collectors order by the total
+// order rather than by offer order, so the selected top-k (ties
+// included) is identical at any parallelism.
+func (s *Searcher) scoreRows(sl *layerSlab, scores []float64, lo, hi int) {
+	workers := parallel.Workers(s.ix.workers)
+	if workers > 1 && hi-lo >= scoreParallelMin {
+		w := s.weights
+		parallel.For(hi-lo, workers, scoreParallelMin, func(a, b int) {
+			scoreSlabRange(scores, sl.data, w, lo+a, lo+b)
+		})
+		return
+	}
+	scoreSlabRange(scores, sl.data, s.weights, lo, hi)
 }
 
 // beginLayer starts a layer evaluation of n records: resets the emit
@@ -499,14 +422,11 @@ func (s *Searcher) beginLayer(n int) {
 	}
 	if s.best == nil {
 		// Size the reusable collector once: no later layer can need more
-		// than min(current remaining, largest layer) slots, so on the
-		// columnar path (maxLayer known) warm advances never grow it.
-		hint := keep
-		if ix.slabs != nil {
-			hint = ix.maxLayer
-			if s.remain > 0 && s.remain < hint {
-				hint = s.remain
-			}
+		// than min(current remaining, largest layer) slots, so warm
+		// advances never grow it.
+		hint := ix.maxLayer
+		if s.remain > 0 && s.remain < hint {
+			hint = s.remain
 		}
 		if hint < keep {
 			hint = keep
@@ -519,9 +439,8 @@ func (s *Searcher) beginLayer(n int) {
 
 // consumeLayer folds one scored layer into the searcher's state: offers
 // every live record to the collector, then finalizes through
-// finishLayer. pos lists internal positions parallel to scores —
-// the slab's pos array on the columnar path (see layerPositions), where
-// shell tables may have bucket-reordered the rows.
+// finishLayer. pos lists internal positions parallel to scores — the
+// slab's pos array, whose rows shell tables may have bucket-reordered.
 func (s *Searcher) consumeLayer(pos []int, scores []float64) {
 	s.beginLayer(len(pos))
 	// Tombstoned positions (delta buffer deletes, see delta.go) are

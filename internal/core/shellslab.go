@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/shellgeom"
 	"repro/internal/topk"
 )
@@ -16,15 +15,13 @@ import (
 // center and, per query, evaluating only records whose angle lies near
 // the weight direction — about half the layer on uniform data.
 //
-// The standalone internal/shells package proves the idea on its own
-// index type (the ablation of DESIGN.md §4.3); this file makes it a
-// first-class mode of the core index — sharing the bucket layout
-// through internal/shellgeom — so every serving path (solo walk,
-// progressive search, TopNBatch, the delta merge, hierarchical
-// compaction folds) gets the saving without leaving the bit-identical
-// columnar machinery:
+// This file makes it a first-class mode of the core index — the bucket
+// layout lives in internal/shellgeom — so every serving path (solo
+// walk, progressive search, TopNBatch, the delta merge, maintenance and
+// hierarchical compaction folds) gets the saving without leaving the
+// bit-identical columnar machinery:
 //
-//   - At BuildSlabs time (shell mode on), each layer's slab rows are
+//   - Whenever a layer's slab is built in shell mode, its rows are
 //     reordered by angular bucket around the layer centroid, so a
 //     bucket is one contiguous run of rows the strided kernels can
 //     stream through. Reordering is sound because the slab carries its
@@ -81,8 +78,7 @@ type shellRef struct {
 }
 
 // buildShellTables reorders every slab by angular bucket and computes
-// the per-bucket bound tables. Requires slabs to be present; BuildSlabs
-// keeps it idempotent (shellTabs is cleared whenever slabs drop).
+// the per-bucket bound tables of an index entering shell mode.
 // Entirely deterministic: bucket assignment depends only on the layer
 // data, and the within-bucket order preserves the slab order (stable
 // counting sort), so fingerprint-style oracles see the same slab
@@ -331,22 +327,6 @@ func (s *Searcher) shellSchedule(t *shellTable) []shellRef {
 	return ord
 }
 
-// scoreShellRun scores one bucket run of the slab into the searcher's
-// score scratch, partitioning large runs across the worker pool exactly
-// like layerScores (each worker fills disjoint slots, so the scores are
-// identical at every worker count).
-func (s *Searcher) scoreShellRun(sl *layerSlab, scores []float64, lo, hi int) {
-	workers := parallel.Workers(s.ix.workers)
-	if workers > 1 && hi-lo >= scoreParallelMin {
-		w := s.weights
-		parallel.For(hi-lo, workers, scoreParallelMin, func(a, b int) {
-			scoreSlabRange(scores, sl.data, w, lo+a, lo+b)
-		})
-		return
-	}
-	scoreSlabRange(scores, sl.data, s.weights, lo, hi)
-}
-
 // consumeLayerShells evaluates the searcher's current layer through its
 // shell table: buckets in decreasing bound order, stopping as soon as
 // the layer's top-keep collector is full and the next bound cannot beat
@@ -358,7 +338,8 @@ func (s *Searcher) scoreShellRun(sl *layerSlab, scores []float64, lo, hi int) {
 // tie-break; and the layer maximum is never skipped (its bucket's bound
 // is ≥ the layer maximum ≥ any threshold), so the Corollary 1
 // finalization bound maxT is exact.
-func (s *Searcher) consumeLayerShells(n int, sl *layerSlab, t *shellTable) {
+func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
+	n := len(sl.pos)
 	s.beginLayer(n)
 	scores := s.ensureScoreBuf(n)
 	ord := s.shellSchedule(t)
@@ -371,7 +352,7 @@ func (s *Searcher) consumeLayerShells(n int, sl *layerSlab, t *shellTable) {
 			break
 		}
 		b := &t.buckets[ref.bi]
-		s.scoreShellRun(sl, scores, b.lo, b.hi)
+		s.scoreRows(sl, scores, b.lo, b.hi)
 		for i := b.lo; i < b.hi; i++ {
 			s.best.Offer(topk.Item{ID: sl.pos[i], Score: scores[i]})
 		}
@@ -383,105 +364,4 @@ func (s *Searcher) consumeLayerShells(n int, sl *layerSlab, t *shellTable) {
 	}
 	s.stats.ShellLayers++
 	s.finishLayer(evaluated, 0, false)
-}
-
-// consumeLayerShellsBatch is the fused-batch counterpart: every live
-// searcher shares one pass over each evaluated bucket run
-// (scoreSlabBatch reads each vector once for the whole sub-batch), but
-// keeps its own bounds, threshold, and collector. Buckets are visited
-// in decreasing max-over-queries bound order; a searcher simply sits
-// out buckets its own bound has ruled out (skip, not stop — the shared
-// order is not monotone per searcher). Per-searcher kept sets are
-// identical to solo shell walks, hence to the full scan; only the
-// evaluated-record counts may differ from solo (the shared order can
-// fill a collector earlier or later than the searcher's own).
-func (ix *Index) consumeLayerShellsBatch(ss []*Searcher, k int, workers int) {
-	n := len(ix.layers[k])
-	sl := &ix.slabs[k]
-	t := &ix.shellTabs[k]
-
-	type plan struct {
-		s      *Searcher
-		scores []float64
-		bounds []float64 // by bucket index
-		eval   int
-		pruned float64 // last bound that ruled a bucket out (trace)
-		hasP   bool
-	}
-	nb := len(t.buckets)
-	plans := make([]plan, len(ss))
-	for i, s := range ss {
-		s.beginLayer(n)
-		ord := s.shellSchedule(t)
-		bounds := make([]float64, nb)
-		for _, ref := range ord {
-			bounds[ref.bi] = ref.bound
-		}
-		plans[i] = plan{s: s, scores: s.ensureScoreBuf(n), bounds: bounds}
-	}
-
-	// Shared bucket order: decreasing maximum bound across the batch, so
-	// collectors fill from globally promising buckets early even though
-	// the order is shared.
-	order := make([]shellRef, nb)
-	for bi := range t.buckets {
-		m := math.Inf(-1)
-		for i := range plans {
-			if plans[i].bounds[bi] > m {
-				m = plans[i].bounds[bi]
-			}
-		}
-		order[bi] = shellRef{bi: bi, bound: m}
-	}
-	sortShellRefs(order)
-
-	sub := make([]*plan, 0, len(plans))
-	dsts := make([][]float64, 0, len(plans))
-	ws := make([][]float64, 0, len(plans))
-	for _, ref := range order {
-		b := &t.buckets[ref.bi]
-		sub, dsts, ws = sub[:0], dsts[:0], ws[:0]
-		for i := range plans {
-			p := &plans[i]
-			if th, full := p.s.best.Threshold(); full && p.bounds[ref.bi] < th {
-				if !p.hasP || p.bounds[ref.bi] < p.pruned {
-					p.pruned, p.hasP = p.bounds[ref.bi], true
-				}
-				continue
-			}
-			sub = append(sub, p)
-			dsts = append(dsts, p.scores)
-			ws = append(ws, p.s.weights)
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		if len(sub) > 1 {
-			if workers > 1 && b.hi-b.lo >= scoreParallelMin {
-				parallel.For(b.hi-b.lo, workers, scoreParallelMin, func(a, c int) {
-					scoreSlabBatch(dsts, sl.data, ws, b.lo+a, b.lo+c)
-				})
-			} else {
-				scoreSlabBatch(dsts, sl.data, ws, b.lo, b.hi)
-			}
-		} else {
-			sub[0].s.scoreShellRun(sl, sub[0].scores, b.lo, b.hi)
-		}
-		for _, p := range sub {
-			for i := b.lo; i < b.hi; i++ {
-				p.s.best.Offer(topk.Item{ID: sl.pos[i], Score: p.scores[i]})
-			}
-			p.eval += b.hi - b.lo
-		}
-	}
-
-	for i := range plans {
-		p := &plans[i]
-		if skipped := n - p.eval; skipped > 0 {
-			p.s.stats.RecordsSkippedByShells += skipped
-			p.s.emitTrace(TraceEvent{Kind: TraceShellsPruned, Layer: p.s.k, Score: p.pruned, Evaluated: skipped})
-		}
-		p.s.stats.ShellLayers++
-		p.s.finishLayer(p.eval, 0, false)
-	}
 }

@@ -31,7 +31,7 @@ func bruteScoreSeq(vecs [][]float64, w []float64, n int) []float64 {
 // TestShellsMatchPlainAndBruteAfterMixedMaintenance is the shell-mode
 // acceptance property: a shells-enabled index and a plain twin fed the
 // identical mutation schedule return bit-identical top-N output — solo
-// TopN and the fused TopNBatch, workers 1 and 4 — through every
+// TopN and TopNBatch, workers 1 and 4 — through every
 // lifecycle stage: fresh build, insert-only delta buffer (shells live
 // over the base layers), tombstoned delta buffer (shells stand down but
 // answers must not move), and post-compaction (tables rebuilt). The
@@ -171,17 +171,19 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 		vecs = live
 		check("tombstoned-delta")
 
-		// Compaction folds the buffer and must rebuild the shell tables:
-		// the mode is index state, not an accident of the last BuildSlabs.
+		// Compaction folds the buffer and must rebuild the shell tables of
+		// every layer it re-peels.
 		if err := shellIx.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		if err := plainIx.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if !shellIx.ShellPruning() || shellIx.shellTabs == nil {
-			t.Fatalf("%dD: compaction dropped the shell tables", d)
+		if !shellIx.ShellPruning() {
+			t.Fatalf("%dD: compaction left shell mode", d)
 		}
+		checkSlabInvariant(t, shellIx)
+		checkSlabInvariant(t, plainIx)
 		skippedBefore = totalSkipped
 		check("compacted")
 		if totalSkipped == skippedBefore {
@@ -192,10 +194,9 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 
 // TestPruningModeSemantics pins the unified pruning switch: the enum
 // round-trips through its string form, every mode returns bit-identical
-// results, the legacy SetLayerPruning(false) shim disables shell
-// pruning too (a caller asking for the paper-faithful full evaluation
-// must not get partially-evaluated layers), and SetShellPruning
-// builds/drops the tables at runtime.
+// results, PruneNothing disables shell pruning too (a caller asking for
+// the paper-faithful full evaluation must not get partially-evaluated
+// layers), and SetShellPruning builds/drops the tables at runtime.
 func TestPruningModeSemantics(t *testing.T) {
 	for _, m := range []PruningMode{PruneAll, PruneLayersOnly, PruneNothing} {
 		got, err := ParsePruningMode(m.String())
@@ -266,20 +267,12 @@ func TestPruningModeSemantics(t *testing.T) {
 		resultsBitIdentical(t, fmt.Sprintf("no-prune q%d", i), none.res[i], all.res[i])
 	}
 
-	// The legacy boolean shim maps onto the enum's extremes.
-	ix.SetLayerPruning(false)
-	if ix.PruningMode() != PruneNothing {
-		t.Fatalf("SetLayerPruning(false) left mode %v, want PruneNothing", ix.PruningMode())
-	}
-	if p := run(); p.skipped != 0 || p.pruned != 0 {
-		t.Fatalf("SetLayerPruning(false) still pruned (skipped=%d, layers=%d)", p.skipped, p.pruned)
-	}
-	ix.SetLayerPruning(true)
+	ix.SetPruningMode(PruneAll)
 	if ix.PruningMode() != PruneAll {
-		t.Fatalf("SetLayerPruning(true) left mode %v, want PruneAll", ix.PruningMode())
+		t.Fatalf("mode = %v after SetPruningMode(PruneAll)", ix.PruningMode())
 	}
 	if p := run(); p.skipped == 0 {
-		t.Fatal("SetLayerPruning(true) did not restore shell pruning")
+		t.Fatal("SetPruningMode(PruneAll) did not restore shell pruning")
 	}
 
 	// Runtime toggling drops and rebuilds the tables.
@@ -459,4 +452,146 @@ func TestShellWarmSearcherNextZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("warm shell search allocates %v times per run, want 0", avg)
 	}
+}
+
+// TestShellModeHalvesUniformEvaluations checks the paper's Section 6
+// prediction on a shell-mode index: on uniformly distributed data the
+// shells cut the records a top-10 query evaluates, against the same
+// walk with layer pruning only, by at least a quarter (the paper
+// predicts about half; 2D's sixteen sectors do better).
+func TestShellModeHalvesUniformEvaluations(t *testing.T) {
+	ix, err := Build(mkRecords(workload.Points(workload.Uniform, 4000, 2, 77)), Options{Shells: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluated := func(m PruningMode) int {
+		ix.SetPruningMode(m)
+		total := 0
+		for _, w := range workload.QueryWeights(50, 2, 78) {
+			_, st, err := ix.TopN(w, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += st.RecordsEvaluated
+		}
+		return total
+	}
+	plain, shelled := evaluated(PruneLayersOnly), evaluated(PruneAll)
+	if shelled >= plain*3/4 {
+		t.Errorf("shells evaluated %d records vs %d with layer pruning only; expected at most three quarters", shelled, plain)
+	}
+	t.Logf("layers-only=%d shells=%d ratio=%.2f", plain, shelled, float64(shelled)/float64(plain))
+}
+
+// checkShellTableExact pins a shell-mode index against a brute-force
+// ranking: the tables must tile every layer, and top-n answers for
+// random weights — n = 1, 5 and more than the index holds — must match
+// bit for bit.
+func checkShellTableExact(t *testing.T, name string, ix *Index) {
+	t.Helper()
+	checkSlabInvariant(t, ix)
+	recs := ix.Records()
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 5; trial++ {
+		w := randWeights(rng, ix.Dim())
+		for _, n := range []int{1, 5, len(recs) + 3} {
+			got, _, err := ix.TopN(w, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteRank(recs, w)
+			if n < len(want) {
+				want = want[:n]
+			}
+			sameRanking(t, fmt.Sprintf("%s trial %d n=%d", name, trial, n), got, want)
+		}
+	}
+}
+
+// TestShellTableSingleRecord: a one-record layer answers with that
+// record, evaluated once, however many results are asked for.
+func TestShellTableSingleRecord(t *testing.T) {
+	ix, err := FromLayers([][]Record{{{ID: 7, Vector: []float64{3, 4, 5}}}}, Options{Shells: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := ix.TopN([]float64{1, 1, 1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].ID != 7 || got[0].Score != 12 {
+		t.Fatalf("got %v", got)
+	}
+	if st.RecordsEvaluated != 1 {
+		t.Errorf("evaluated %d records, want 1", st.RecordsEvaluated)
+	}
+	checkShellTableExact(t, "single record", ix)
+}
+
+// TestShellTableAllRecordsAtCenter: records that all sit at the layer
+// center have zero radius, so every bucket bound collapses to w·c; the
+// answers must still be exact.
+func TestShellTableAllRecordsAtCenter(t *testing.T) {
+	ix, err := FromLayers([][]Record{
+		{{ID: 1, Vector: []float64{2, 2}}, {ID: 2, Vector: []float64{2, 2}}, {ID: 3, Vector: []float64{2, 2}}},
+	}, Options{Shells: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ix.TopN([]float64{1, -1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Score != 0 || got[1].Score != 0 {
+		t.Fatalf("got %v", got)
+	}
+	checkShellTableExact(t, "all at center", ix)
+}
+
+// TestShellTableHighDimFaceBuckets drives the generic kernel at
+// dimension 6, where a layer's shells split into 12 face buckets.
+func TestShellTableHighDimFaceBuckets(t *testing.T) {
+	ix, err := Build(mkRecords(workload.Points(workload.Gaussian, 300, 6, 56)), Options{Seed: 56, Shells: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{0, 0, 1, 0, -0.5, 0}
+	got, st, err := ix.TopN(w, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "6D axis weights", got, bruteRank(ix.Records(), w)[:5])
+	if st.RecordsEvaluated > 300 {
+		t.Errorf("evaluated %d of 300 records", st.RecordsEvaluated)
+	}
+	checkShellTableExact(t, "6D face buckets", ix)
+}
+
+// TestShellTableOverask: asking a shell-mode index for more results
+// than it holds returns every record in rank order, and n = 0 returns
+// none. (Core layers are never empty, so the empty-layer case of the
+// old standalone shell index has no counterpart here.)
+func TestShellTableOverask(t *testing.T) {
+	ix, err := FromLayers([][]Record{
+		{{ID: 1, Vector: []float64{1, 0}}, {ID: 2, Vector: []float64{0, 1}}},
+	}, Options{Shells: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ix.TopN([]float64{1, 0}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Errorf("overask returned %d results, want 2", len(got))
+	}
+	if got0, _, err := ix.TopN([]float64{1, 0}, 0); err != nil || got0 != nil {
+		t.Errorf("n=0 returned %v, %v", got0, err)
+	}
+	multi, err := Build(mkRecords(workload.Points(workload.Uniform, 200, 3, 58)), Options{Seed: 58, Shells: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShellTableExact(t, "overask", ix)
+	checkShellTableExact(t, "overask multi-layer", multi)
 }

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/shellgeom"
+)
 
 // Columnar layer slabs. The query cost the paper measures (Table 1) is
 // dominated by scoring every vertex of each accessed layer, and the
@@ -12,20 +16,18 @@ import "math"
 // becomes a strided sequential scan the prefetcher can see through.
 //
 // Slabs also carry the per-layer score bounds that integrate the
-// paper's Section 6 pruning idea (internal/shells) into the core
-// searcher: maxNorm yields the Cauchy–Schwarz bound w·x ≤ ‖w‖·maxNorm,
-// and the per-axis min/max box yields w·x ≤ Σ_j (w_j ≥ 0 ? w_j·max_j :
-// w_j·min_j). Layer k+1's records lie inside the convex hull of layer
+// paper's Section 6 pruning idea into the core searcher: maxNorm yields
+// the Cauchy–Schwarz bound w·x ≤ ‖w‖·maxNorm, and the per-axis min/max
+// box yields w·x ≤ Σ_j (w_j ≥ 0 ? w_j·max_j : w_j·min_j). Layer k+1's records lie inside the convex hull of layer
 // k's, and both the norm and each coordinate are maximized over a
 // convex hull at a vertex, so either bound for layer k also bounds
 // every deeper layer — which is what licenses a searcher to stop the
 // whole walk, not just skip one layer, once its pending candidates
 // beat the bound (see Searcher.tryPrune).
 //
-// Slabs are derived, immutable state: Build, FromLayers, and the
-// serving layer's post-mutation publish construct them; any maintenance
-// (alloc/unalloc) drops them, exactly like the sorted-column fast path.
-// Clones share them (nothing ever writes into a built slab).
+// Slabs are derived, immutable state kept one per layer (see the slab
+// invariant below). Clones share them (nothing ever writes into a built
+// slab).
 type layerSlab struct {
 	data    []float64 // row-major layer vectors: count×dim, layer order
 	ids     []uint64  // external record IDs, parallel to rows
@@ -70,78 +72,88 @@ func newLayerSlab(data []float64, ids []uint64, pos []int, dim int) layerSlab {
 	return sl
 }
 
-// BuildSlabs materializes the columnar scoring layout: one contiguous
-// slab per layer plus per-layer score bounds. Idempotent; called by
-// Build and FromLayers automatically and by the serving layer after it
-// applies a mutation batch to a clone (mutations invalidate slabs the
-// same way they invalidate sorted columns). Queries fall back to the
-// record-walk over pts whenever slabs are absent, with identical
-// results.
-func (ix *Index) BuildSlabs() {
-	if ix.slabs == nil {
-		slabs := make([]layerSlab, len(ix.layers))
-		maxLayer := 0
-		for k, layer := range ix.layers {
-			if len(layer) > maxLayer {
-				maxLayer = len(layer)
-			}
-			data := make([]float64, len(layer)*ix.dim)
-			ids := make([]uint64, len(layer))
-			pos := make([]int, len(layer))
-			for i, p := range layer {
-				copy(data[i*ix.dim:(i+1)*ix.dim], ix.pts[p])
-				ids[i] = ix.ids[p]
-				pos[i] = p
-			}
-			slabs[k] = newLayerSlab(data, ids, pos, ix.dim)
+// The slab invariant: every Index carries exactly one slab per layer
+// and, in shell mode, one shell table per layer, so the columnar walk
+// is the only query path. Constructors build them (Build through
+// appendLayer, FromLayers and FromColumnar directly), and the
+// structural mutators keep them: cutLayers takes off the layers a
+// cascade may re-peel, appendLayer gives every layer the cascade emits
+// a fresh slab, and attachLayer puts back a layer the cascade left
+// unchanged with the slab it already had. The rebuild therefore
+// touches only records the cascade re-hulled anyway. Clones share the
+// slab slices, so a mutator never writes into them: cutLayers moves
+// the kept prefix to fresh slices first.
+
+// layerState is one layer's positions with the slab and shell table
+// derived from them. A layer a cascade takes off and reattaches
+// unchanged keeps its state.
+type layerState struct {
+	pos  []int
+	slab layerSlab
+	tab  shellTable // zero outside shell mode
+}
+
+// cutLayers truncates the index to its first k layers and returns the
+// layers from k on, for a cascade to re-peel or reattach.
+func (ix *Index) cutLayers(k int) []layerState {
+	cut := make([]layerState, len(ix.layers)-k)
+	for i := range cut {
+		cut[i] = layerState{pos: ix.layers[k+i], slab: ix.slabs[k+i]}
+		if ix.shellMode {
+			cut[i].tab = ix.shellTabs[k+i]
 		}
-		ix.slabs = slabs
-		ix.maxLayer = maxLayer
 	}
-	// Shell index mode (shellslab.go): bucket-order the freshly built
-	// slabs and derive the per-bucket bound tables alongside them.
-	if ix.shellMode && ix.shellTabs == nil {
-		ix.buildShellTables()
+	ix.layers = ix.layers[:k]
+	ix.slabs = append([]layerSlab(nil), ix.slabs[:k]...)
+	if ix.shellMode {
+		ix.shellTabs = append([]shellTable(nil), ix.shellTabs[:k]...)
 	}
-}
-
-// DropSlabs discards the columnar layout (and with it bound-based layer
-// pruning and any shell tables), forcing queries back onto the legacy
-// record-walk. Exists so benchmarks and the CI equivalence gate can
-// compare the paths on one index; call BuildSlabs to restore.
-func (ix *Index) DropSlabs() {
-	// Deferred record views (columnar.go) are rebuilt FROM the slabs;
-	// materialize them while the slabs are still here or the fallback
-	// record-walk would have nothing to read.
-	ix.materializeRecs()
-	ix.slabs = nil
-	ix.shellTabs = nil
-}
-
-// Columnar reports whether the columnar slabs are materialized.
-func (ix *Index) Columnar() bool { return ix.slabs != nil }
-
-// slab returns layer k's slab, or nil when slabs are absent.
-func (ix *Index) slab(k int) *layerSlab {
-	if ix.slabs == nil {
-		return nil
+	ix.maxLayer = 0
+	for _, l := range ix.layers {
+		ix.maxLayer = max(ix.maxLayer, len(l))
 	}
-	return &ix.slabs[k]
-}
-
-// invalidateSlabs drops derived columnar state (slabs and shell tables)
-// on mutation, along with the paging observer that described those
-// slabs' on-disk extents. Shared slabs are never written, so clones
-// holding the same backing arrays are unaffected.
-func (ix *Index) invalidateSlabs() {
-	ix.slabs = nil
-	ix.shellTabs = nil
+	// The paging observer numbers layers as the checkpoint laid them
+	// out, which the cascade is about to change.
 	ix.slabSrc = nil
+	return cut
+}
+
+// appendLayer adds a freshly peeled layer with a new slab and, in shell
+// mode, a new shell table.
+func (ix *Index) appendLayer(layer []int) {
+	data := make([]float64, len(layer)*ix.dim)
+	ids := make([]uint64, len(layer))
+	pos := make([]int, len(layer))
+	for i, p := range layer {
+		copy(data[i*ix.dim:(i+1)*ix.dim], ix.pts[p])
+		ids[i] = ix.ids[p]
+		pos[i] = p
+	}
+	l := layerState{pos: layer, slab: newLayerSlab(data, ids, pos, ix.dim)}
+	if ix.shellMode {
+		g := shellgeom.For(ix.dim)
+		l.tab = buildShellTable(&l.slab, &g, ix.dim)
+	}
+	ix.attachLayer(l)
+}
+
+// attachLayer appends a layer together with its slab and shell table.
+func (ix *Index) attachLayer(l layerState) {
+	k := len(ix.layers)
+	ix.layers = append(ix.layers, l.pos)
+	for _, p := range l.pos {
+		ix.layerOf[p] = k
+	}
+	ix.slabs = append(ix.slabs, l.slab)
+	if ix.shellMode {
+		ix.shellTabs = append(ix.shellTabs, l.tab)
+	}
+	ix.maxLayer = max(ix.maxLayer, len(l.pos))
 }
 
 // boundSlack returns the safety margin added to a layer's score bound
 // so that floating-point rounding can never make pruning drop a record
-// the record-walk would have emitted. Both the record's computed score
+// the unpruned walk would have emitted. Both the record's computed score
 // and the computed bound err from their real values by at most a few
 // d·ε multiples of ‖w‖·maxNorm (Σ|w_j x_j| ≤ ‖w‖‖x‖ by Cauchy–Schwarz,
 // so even cancellation-heavy dot products stay within that envelope);
@@ -175,8 +187,8 @@ func (sl *layerSlab) scoreBound(w []float64, wnorm float64) float64 {
 // row-major slab. The loop is unrolled four rows wide — four
 // independent accumulators hide the multiply-add latency — while each
 // individual dot product still accumulates over j in index order
-// starting from zero, exactly like the legacy record-walk, so every
-// score is bit-identical to the one the [][]float64 path computes.
+// starting from zero, so every score is bit-identical to a plain
+// w·x over the record's vector (the brute-force oracles' arithmetic).
 func scoreSlabRange(dst, data, w []float64, lo, hi int) {
 	dim := len(w)
 	switch dim {
@@ -237,25 +249,6 @@ func scoreSlabRange(dst, data, w []float64, lo, hi int) {
 				s += wj * v[j]
 			}
 			dst[i] = s
-		}
-	}
-}
-
-// scoreSlabBatch fills dsts[q][i] = ws[q]·row_i for every query q and
-// row i in [lo, hi): one pass over the slab serves the whole batch, so
-// each vector is read from memory once instead of once per query. The
-// per-(query, row) arithmetic is the same ordered accumulation as
-// scoreSlabRange, so batched scores are bit-identical to solo ones.
-func scoreSlabBatch(dsts [][]float64, data []float64, ws [][]float64, lo, hi int) {
-	dim := len(ws[0])
-	for i := lo; i < hi; i++ {
-		v := data[i*dim : (i+1)*dim : (i+1)*dim]
-		for q, w := range ws {
-			var s float64
-			for j, wj := range w {
-				s += wj * v[j]
-			}
-			dsts[q][i] = s
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -41,9 +42,10 @@ func randWeights(rng *rand.Rand, d int) []float64 {
 
 // TestColumnarMatchesLegacyAndBrute is the tentpole property: for random
 // indexes and random (positive, negative, mixed) weight vectors, the
-// columnar slab path, the legacy record-walk, and the brute-force oracle
-// produce bit-identical top-N output — IDs, scores, order — at worker
-// counts 1 and 4, with bound pruning on and off.
+// columnar walk at worker counts 1 and 4 with bound pruning on and off,
+// the legacy reference — the paper's full evaluation, one worker, no
+// pruning — and the brute-force oracle produce bit-identical top-N
+// output: IDs, scores, order.
 func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 	for _, tc := range []struct {
 		dist workload.Distribution
@@ -60,16 +62,14 @@ func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ix.Columnar() {
-			t.Fatalf("%v %dD: Build did not materialize slabs", tc.dist, tc.d)
-		}
+		checkSlabInvariant(t, ix)
 
-		// Legacy reference on a slab-free twin of the same index.
-		legacy, err := Build(mkRecords(pts), Options{Seed: 3})
+		// Legacy reference on a twin of the same index.
+		legacy, err := Build(mkRecords(pts), Options{Seed: 3, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.DropSlabs()
+		legacy.SetPruningMode(PruneNothing)
 
 		rng := rand.New(rand.NewSource(int64(tc.n)))
 		defer func(v int) { scoreParallelMin = v }(scoreParallelMin)
@@ -83,18 +83,18 @@ func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				ix.SetParallelism(workers)
-				for _, prune := range []bool{true, false} {
-					ix.SetLayerPruning(prune)
+				for _, prune := range []PruningMode{PruneAll, PruneNothing} {
+					ix.SetPruningMode(prune)
 					got, _, err := ix.TopN(w, n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%v %dD trial %d workers=%d prune=%v", tc.dist, tc.d, trial, workers, prune)
+					label := fmt.Sprintf("%v %dD trial %d workers=%d pruning=%v", tc.dist, tc.d, trial, workers, prune)
 					resultsBitIdentical(t, label, got, wantRes)
 				}
 			}
 			ix.SetParallelism(0)
-			ix.SetLayerPruning(true)
+			ix.SetPruningMode(PruneAll)
 
 			// Brute-force oracle: same accumulation order (geom.Dot), so
 			// scores must match to the bit; tie order between oracle and
@@ -127,16 +127,13 @@ func TestColumnarMatchesLegacyAndBrute(t *testing.T) {
 
 // TestTopNBatchMatchesSolo: a batch of queries must return, per query,
 // exactly what a solo TopN returns — bit-identical — at worker counts 1
-// and 4, including duplicate weight vectors within the batch (which
-// share slab passes) and single-axis vectors (which take the sorted fast
-// path when enabled).
+// and 4, including duplicate and single-axis weight vectors.
 func TestTopNBatchMatchesSolo(t *testing.T) {
 	pts := workload.Points(workload.Gaussian, 2000, 4, 99)
 	ix, err := Build(mkRecords(pts), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.EnableSortedColumns()
 	defer func(v int) { scoreParallelMin = v }(scoreParallelMin)
 	scoreParallelMin = 64
 
@@ -147,7 +144,7 @@ func TestTopNBatchMatchesSolo(t *testing.T) {
 		batch := make([][]float64, nq)
 		for q := range batch {
 			switch rng.Intn(4) {
-			case 0: // single-axis → sorted-column fast path
+			case 0: // single-axis: the paper's §2 degenerate query
 				w := make([]float64, 4)
 				w[rng.Intn(4)] = 1 + rng.Float64()
 				batch[q] = w
@@ -233,12 +230,12 @@ func TestPruningFiresAndIsExact(t *testing.T) {
 	ix := shellIndex(t)
 	w := []float64{1, 0.5, 0.25}
 
-	ix.SetLayerPruning(false)
+	ix.SetPruningMode(PruneNothing)
 	wantRes, wantStats, err := ix.TopN(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetLayerPruning(true)
+	ix.SetPruningMode(PruneAll)
 	gotRes, gotStats, err := ix.TopN(w, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +288,7 @@ func TestScoreBoundIsSound(t *testing.T) {
 		}
 		wnorm := math.Sqrt(wsq)
 		for k := 0; k < ix.NumLayers(); k++ {
-			bound := ix.slab(k).scoreBound(w, wnorm)
+			bound := ix.slabs[k].scoreBound(w, wnorm)
 			for kk := k; kk < ix.NumLayers(); kk++ {
 				for _, r := range ix.Layer(kk) {
 					var s float64
@@ -349,73 +346,230 @@ func TestWarmSearcherNextZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesSlabs: any maintenance drops the columnar
-// layout (queries fall back to the record-walk, results stay correct),
-// and BuildSlabs restores it with identical output.
-func TestMutationInvalidatesSlabs(t *testing.T) {
-	ix := buildRand(t, workload.Uniform, 600, 3, 31)
-	if !ix.Columnar() {
-		t.Fatal("fresh build has no slabs")
+// checkSlabInvariant asserts the invariant every Index keeps: one slab
+// per layer whose rows are exactly the layer's records with the bound
+// metadata of those rows, maxLayer the largest layer, and — exactly in
+// shell mode — one shell table per layer whose buckets tile the rows.
+func checkSlabInvariant(t *testing.T, ix *Index) {
+	t.Helper()
+	if len(ix.slabs) != len(ix.layers) {
+		t.Fatalf("%d slabs for %d layers", len(ix.slabs), len(ix.layers))
 	}
-	w := []float64{0.3, 0.3, 0.4}
-	if err := ix.Insert(Record{ID: 100000, Vector: []float64{9, 9, 9}}); err != nil {
-		t.Fatal(err)
+	pts, _ := ix.recViews()
+	maxLayer := 0
+	for k, layer := range ix.layers {
+		maxLayer = max(maxLayer, len(layer))
+		sl := &ix.slabs[k]
+		if len(sl.pos) != len(layer) || len(sl.ids) != len(layer) || len(sl.data) != len(layer)*ix.dim {
+			t.Fatalf("layer %d: slab shape does not match its %d records", k, len(layer))
+		}
+		rest := make(map[int]bool, len(layer))
+		for _, p := range layer {
+			rest[p] = true
+		}
+		for i, p := range sl.pos {
+			if !rest[p] {
+				t.Fatalf("layer %d: slab row %d holds position %d, not a (remaining) layer member", k, i, p)
+			}
+			delete(rest, p)
+			if sl.ids[i] != ix.ids[p] {
+				t.Fatalf("layer %d: slab row %d has ID %d, want %d", k, i, sl.ids[i], ix.ids[p])
+			}
+			for j, v := range pts[p] {
+				if sl.data[i*ix.dim+j] != v {
+					t.Fatalf("layer %d: slab row %d does not hold record %d's vector", k, i, ix.ids[p])
+				}
+			}
+		}
+		fresh := newLayerSlab(sl.data, sl.ids, sl.pos, ix.dim)
+		if fresh.maxNorm != sl.maxNorm || !reflect.DeepEqual(fresh.axMin, sl.axMin) || !reflect.DeepEqual(fresh.axMax, sl.axMax) {
+			t.Fatalf("layer %d: slab bounds do not describe its rows", k)
+		}
 	}
-	if ix.Columnar() {
-		t.Fatal("slabs survived an insert")
+	if ix.maxLayer != maxLayer {
+		t.Fatalf("maxLayer = %d, largest layer has %d records", ix.maxLayer, maxLayer)
 	}
-	afterRes, _, err := ix.TopN(w, 10)
-	if err != nil {
-		t.Fatal(err)
+	if !ix.shellMode {
+		if ix.shellTabs != nil {
+			t.Fatal("shell tables outside shell mode")
+		}
+		return
 	}
-	if afterRes[0].ID != 100000 {
-		t.Fatalf("dominating insert not ranked first: %+v", afterRes[0])
+	if len(ix.shellTabs) != len(ix.layers) {
+		t.Fatalf("%d shell tables for %d layers", len(ix.shellTabs), len(ix.layers))
 	}
-	ix.BuildSlabs()
-	if !ix.Columnar() {
-		t.Fatal("BuildSlabs did not restore slabs")
+	for k := range ix.shellTabs {
+		at := 0
+		for _, b := range ix.shellTabs[k].buckets {
+			if b.lo != at || b.hi <= b.lo {
+				t.Fatalf("layer %d: bucket [%d, %d) breaks the tiling at %d", k, b.lo, b.hi, at)
+			}
+			at = b.hi
+		}
+		if at != len(ix.layers[k]) {
+			t.Fatalf("layer %d: buckets cover %d of %d rows", k, at, len(ix.layers[k]))
+		}
 	}
-	rebuilt, _, err := ix.TopN(w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsBitIdentical(t, "rebuilt slabs vs record-walk", rebuilt, afterRes)
+}
 
-	if err := ix.Delete(100000); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Columnar() {
-		t.Fatal("slabs survived a delete")
+// TestMutationInvalidatesSlabs: maintenance invalidates the slab (and
+// shell table) of exactly the layers it re-peels and replaces it with a
+// fresh one, while every layer the cascade leaves alone keeps the slab
+// it had. The index therefore never loses its columnar layout: after
+// Insert and Delete, queries do exactly the work a fresh FromLayers
+// load of the same layering does (layer and shell pruning included),
+// and answers match a brute-force ranking bit for bit.
+func TestMutationInvalidatesSlabs(t *testing.T) {
+	for _, shells := range []bool{false, true} {
+		pts := workload.Points(workload.Uniform, 800, 2, 31)
+		ix, err := Build(mkRecords(pts), Options{Seed: 31, Shells: shells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make(map[uint64][]float64, len(pts))
+		for i, p := range pts {
+			live[uint64(i+1)] = p
+		}
+
+		// A point just outside the midpoint of one edge of a middle layer
+		// joins that layer without expelling any of its vertices, so the
+		// insert cascade re-peels exactly one layer and reattaches every
+		// deeper one.
+		k := ix.NumLayers() / 2
+		layer := ix.Layer(k)
+		var c [2]float64
+		for _, r := range layer {
+			c[0] += r.Vector[0] / float64(len(layer))
+			c[1] += r.Vector[1] / float64(len(layer))
+		}
+		angle := func(v []float64) float64 { return math.Atan2(v[1]-c[1], v[0]-c[0]) }
+		sort.Slice(layer, func(a, b int) bool { return angle(layer[a].Vector) < angle(layer[b].Vector) })
+		a, b := layer[0].Vector, layer[1].Vector
+		p := make([]float64, 2)
+		for j := range p {
+			m := (a[j] + b[j]) / 2
+			p[j] = m + 1e-3*(m-c[j])
+		}
+		before := append([]layerSlab(nil), ix.slabs...)
+		layersBefore := ix.NumLayers()
+		if err := ix.Insert(Record{ID: 100000, Vector: p}); err != nil {
+			t.Fatal(err)
+		}
+		live[100000] = p
+		if got, _ := ix.LayerOf(100000); got != k || ix.NumLayers() != layersBefore {
+			t.Fatalf("shells=%v: edge point landed in layer %d of %d, want layer %d of %d",
+				shells, got, ix.NumLayers(), k, layersBefore)
+		}
+		for j := range ix.slabs {
+			kept := &ix.slabs[j].data[0] == &before[j].data[0]
+			if kept == (j == k) {
+				t.Fatalf("shells=%v: layer %d kept its slab = %v, want %v", shells, j, kept, j != k)
+			}
+		}
+		checkSlabInvariant(t, ix)
+
+		check := func(stage string) {
+			t.Helper()
+			layers := make([][]Record, ix.NumLayers())
+			for k := range layers {
+				layers[k] = ix.Layer(k)
+			}
+			fresh, err := FromLayers(layers, Options{Shells: shells})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := make([]Record, 0, len(live))
+			for id, v := range live {
+				recs = append(recs, Record{ID: id, Vector: v})
+			}
+			rng := rand.New(rand.NewSource(int64(len(live))))
+			for q := 0; q < 8; q++ {
+				label := fmt.Sprintf("shells=%v %s q%d", shells, stage, q)
+				w := randWeights(rng, 2)
+				got, st, err := ix.TopN(w, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRanking(t, label, got, bruteRank(recs, w)[:10])
+				_, want, err := fresh.TopN(w, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st != want {
+					t.Fatalf("%s: stats %+v, a fresh load of the same layers does %+v", label, st, want)
+				}
+				if shells && st.ShellLayers == 0 {
+					t.Fatalf("%s: no layer evaluated through its shell table", label)
+				}
+			}
+		}
+		check("after insert")
+
+		if err := ix.Delete(100000); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, 100000)
+		outer := ix.Layer(0)[0].ID
+		if err := ix.DeleteBatch([]uint64{outer, 5}); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, outer)
+		delete(live, 5)
+		checkSlabInvariant(t, ix)
+		check("after deletes")
 	}
 }
 
 // TestCloneSharesSlabs: a clone starts with the parent's slabs (the
-// serving snapshot path queries clones immediately), and maintenance on
-// the clone must not disturb the parent's columnar state.
+// serving snapshot path queries clones immediately), maintenance on the
+// clone rebuilds only the clone's re-peeled layers — untouched layers
+// stay shared — and the parent's slabs, shell tables and answers are
+// left exactly as they were.
 func TestCloneSharesSlabs(t *testing.T) {
-	ix := buildRand(t, workload.Gaussian, 800, 3, 12)
-	cp := ix.Clone()
-	if !cp.Columnar() {
-		t.Fatal("clone lost the slabs")
-	}
-	if err := cp.Insert(Record{ID: 55555, Vector: []float64{5, 5, 5}}); err != nil {
+	pts := workload.Points(workload.Gaussian, 800, 3, 12)
+	ix, err := Build(mkRecords(pts), Options{Shells: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Columnar() {
-		t.Fatal("clone slabs survived mutation")
+	cp := ix.Clone()
+	if &cp.slabs[0] != &ix.slabs[0] {
+		t.Fatal("clone does not share the parent's slabs")
 	}
-	if !ix.Columnar() {
-		t.Fatal("mutating the clone dropped the parent's slabs")
-	}
+	slabs := append([]layerSlab(nil), ix.slabs...)
+	tabs := append([]shellTable(nil), ix.shellTabs...)
 	w := []float64{1, 1, 1}
-	a, _, _ := ix.TopN(w, 5)
-	cp.BuildSlabs()
-	b, _, _ := cp.TopN(w, 6)
-	if b[0].ID != 55555 {
-		t.Fatalf("clone insert not visible on clone: %+v", b[0])
+	want := mustTopN(t, ix, w, 5)
+
+	// Mutate deep inside the clone so its outer layers are untouched: a
+	// record at the origin joins an inner layer, and a record of the
+	// innermost layer leaves.
+	inner := cp.Layer(cp.NumLayers() - 1)[0].ID
+	if err := cp.Insert(Record{ID: 55555, Vector: []float64{0, 0, 0}}); err != nil {
+		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "parent unchanged", a, mustTopN(t, ix, w, 5))
-	_ = a
+	if err := cp.Delete(inner); err != nil {
+		t.Fatal(err)
+	}
+	checkSlabInvariant(t, cp)
+	checkSlabInvariant(t, ix)
+	if !reflect.DeepEqual(ix.slabs, slabs) || !reflect.DeepEqual(ix.shellTabs, tabs) {
+		t.Fatal("maintenance on the clone changed the parent's slabs or shell tables")
+	}
+	resultsBitIdentical(t, "parent unchanged", mustTopN(t, ix, w, 5), want)
+	recs := append(mkRecords(pts), Record{ID: 55555, Vector: []float64{0, 0, 0}})
+	recs = append(recs[:inner-1], recs[inner:]...)
+	sameRanking(t, "clone", mustTopN(t, cp, w, len(recs)), bruteRank(recs, w))
+	shared := false
+	for j := range cp.slabs {
+		for i := range ix.slabs {
+			if &cp.slabs[j].data[0] == &ix.slabs[i].data[0] {
+				shared = true
+			}
+		}
+	}
+	if !shared {
+		t.Fatal("clone maintenance copied every layer's slab; untouched layers should stay shared")
+	}
 }
 
 func mustTopN(t *testing.T, ix *Index, w []float64, n int) []Result {
@@ -439,14 +593,12 @@ func TestFromLayersBuildsSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.Columnar() {
-		t.Fatal("FromLayers did not build slabs")
-	}
+	checkSlabInvariant(t, re)
 	w := []float64{-0.2, 0.7, 0.4}
 	resultsBitIdentical(t, "fromlayers vs build", mustTopN(t, re, w, 15), mustTopN(t, ix, w, 15))
 
 	// The zero-copy claim: each layer's record vectors alias the slab.
-	sl := re.slab(0)
+	sl := &re.slabs[0]
 	first := re.layers[0][0]
 	if &re.pts[first][0] != &sl.data[0] {
 		t.Error("layer 0 vectors are not views into the slab arena")

@@ -11,9 +11,7 @@ package core
 // Clone returns an independent copy of the index. Maintenance on the
 // clone (Insert, Delete, cascades) never alters the original, so a
 // query running against the original concurrently with maintenance on
-// the clone is safe. The optional sorted-column fast path is not
-// carried over — maintenance would invalidate it anyway; call
-// EnableSortedColumns on the clone if needed.
+// the clone is safe.
 func (ix *Index) Clone() *Index {
 	// A deep clone owns eager record views; forcing the receiver's
 	// deferred ones (columnar.go) is safe — the lazy build never
@@ -31,8 +29,8 @@ func (ix *Index) Clone() *Index {
 		workers: ix.workers,
 		joggled: ix.joggled,
 		// Slabs are immutable once built, so the clone shares them by
-		// reference; the first maintenance call on either side drops only
-		// that side's pointer (invalidateSlabs), leaving the other intact.
+		// reference; maintenance on either side moves that side onto
+		// fresh slab slices (cutLayers), leaving the other intact.
 		slabs:    ix.slabs,
 		maxLayer: ix.maxLayer,
 		noPrune:  ix.noPrune,
@@ -42,7 +40,7 @@ func (ix *Index) Clone() *Index {
 		shellMode: ix.shellMode,
 		shellTabs: ix.shellTabs,
 		// The paging observer describes the shared slab backing, so the
-		// clone keeps it until a mutation detaches both together.
+		// clone keeps it until a mutation detaches it.
 		slabSrc: ix.slabSrc,
 		// The hierarchical compactor is immutable (folds return a
 		// successor), so it too is shared by reference.

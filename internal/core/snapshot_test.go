@@ -9,29 +9,22 @@ import (
 	"repro/internal/workload"
 )
 
-// TestTopNDimMismatchBothPaths is the regression test for the sorted
-// fast-path ordering bug: a wrong-dimension weight vector must fail with
-// the dimension-mismatch error whether or not sorted columns are
-// enabled, and must never consult the fast path.
+// TestTopNDimMismatchBothPaths: a wrong-dimension weight vector —
+// here one with a single non-zero weight, the shape of the paper's §2
+// degenerate query — must fail with the dimension-mismatch error on
+// both the solo and the batch path, and a degenerate query of the right
+// dimension must still work.
 func TestTopNDimMismatchBothPaths(t *testing.T) {
 	ix := buildRand(t, workload.Gaussian, 200, 3, 5)
 	bad := []float64{0, 1} // single non-zero weight, wrong dimension
 
 	_, _, err := ix.TopN(bad, 5)
 	if !errors.Is(err, errDim) {
-		t.Fatalf("plain path: got %v, want errDim", err)
+		t.Fatalf("solo path: got %v, want errDim", err)
 	}
-
-	ix.EnableSortedColumns()
-	if !ix.SortedColumnsEnabled() {
-		t.Fatal("sorted columns not enabled")
-	}
-	_, _, err2 := ix.TopN(bad, 5)
+	_, _, err2 := ix.TopNBatch([][]float64{bad}, 5)
 	if !errors.Is(err2, errDim) {
-		t.Fatalf("sorted path: got %v, want errDim", err2)
-	}
-	if err.Error() != err2.Error() {
-		t.Fatalf("paths disagree: %q vs %q", err, err2)
+		t.Fatalf("batch path: got %v, want errDim", err2)
 	}
 	// Too many zero weights but correct dimension still works.
 	if _, _, err := ix.TopN([]float64{0, 1, 0}, 5); err != nil {

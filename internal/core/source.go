@@ -46,11 +46,12 @@ type SourceSearcher struct {
 	err     error
 }
 
-// NewSourceSearcher prepares a progressive query over src. limit <= 0
-// streams the complete ranking.
+// NewSourceSearcher prepares a progressive query over src, rejecting
+// weights exactly as NewSearcherChecked does. limit <= 0 streams the
+// complete ranking.
 func NewSourceSearcher(src LayerSource, weights []float64, limit int) (*SourceSearcher, error) {
-	if len(weights) != src.Dim() {
-		return nil, fmt.Errorf("%w: got %d, want %d", errDim, len(weights), src.Dim())
+	if err := ValidateWeights(weights, src.Dim()); err != nil {
+		return nil, err
 	}
 	w := make([]float64, len(weights))
 	copy(w, weights)
@@ -163,13 +164,14 @@ func (s *SourceSearcher) take(key int) Result {
 }
 
 // SourceTopN collects the top n results over src. It mirrors
-// Index.TopN but works over any LayerSource.
+// Index.TopN but works over any LayerSource: n <= 0 returns no results
+// and reads no layer.
 func SourceTopN(src LayerSource, weights []float64, n int) ([]Result, Stats, error) {
 	s, err := NewSourceSearcher(src, weights, n)
-	if err != nil {
+	if err != nil || n <= 0 {
 		return nil, Stats{}, err
 	}
-	out := make([]Result, 0, n)
+	out := []Result{}
 	for {
 		r, ok := s.Next()
 		if !ok {

@@ -285,7 +285,6 @@ func refoldCluster(child *core.Index, deletes []uint64, inserts []core.Record, b
 		if nc.Len() == 0 {
 			return nil, nil
 		}
-		nc.BuildSlabs()
 		return nc, nil
 	}
 	// Rebuild fallback: survivors plus inserts, peeled from scratch.

@@ -119,9 +119,9 @@ func TestTopNBatchErrorBodies(t *testing.T) {
 // TestBatchQueriesDuringSnapshotSwaps is the -race stress of the batch
 // read path: query goroutines continuously run TopNBatch against
 // whatever snapshot is current while the mutator applies insert/delete
-// batches and swaps new snapshots in (each publish rebuilds the
-// columnar slabs). Every batch must be internally consistent with the
-// snapshot it ran against — bit-identical to that snapshot's solo TopN.
+// batches and swaps new snapshots in. Every batch must be internally
+// consistent with the snapshot it ran against — bit-identical to that
+// snapshot's solo TopN.
 func TestBatchQueriesDuringSnapshotSwaps(t *testing.T) {
 	s, _ := newTestServer(t, 600, 3, Config{})
 	stop := make(chan struct{})
@@ -207,7 +207,34 @@ func TestBatchQueriesDuringSnapshotSwaps(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if !s.Snapshot().Columnar() {
-		t.Error("published snapshot lost its columnar slabs")
+	// Folding the final snapshot runs the structural cascades a
+	// background compaction publishes. The folded index must query
+	// exactly like a fresh load of its layering — same answers and the
+	// same work, layer pruning included — so the cascades kept one slab
+	// per layer.
+	folded, err := s.Snapshot().CompactedClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := make([][]core.Record, folded.NumLayers())
+	for k := range layers {
+		layers[k] = folded.Layer(k)
+	}
+	fresh, err := core.FromLayers(layers, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][]float64{{1, 0, 0.5}, {-0.5, 0.25, 1}, {0.1, -0.9, 0.3}} {
+		got, gotStats, err := folded.TopN(w, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := fresh.TopN(w, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || gotStats != wantStats {
+			t.Errorf("folded snapshot %v / %+v, fresh load %v / %+v", got, gotStats, want, wantStats)
+		}
 	}
 }

@@ -110,7 +110,7 @@ type TopNResponse struct {
 }
 
 // TopNBatchRequest is the body of POST /v1/topn/batch: one n shared by
-// every query, matching the fused evaluation underneath.
+// every query, matching core.Index.TopNBatch underneath.
 type TopNBatchRequest struct {
 	Weights [][]float64 `json:"weights"`
 	N       int         `json:"n"`
@@ -421,13 +421,11 @@ func inRanges(v []float64, ranges []RangeJSON) bool {
 	return true
 }
 
-// handleTopNBatch answers B queries in one request through the fused
-// batch evaluator: every accessed layer's columnar slab is streamed
-// once for the whole batch. Per-query output is bit-identical to solo
-// /v1/topn calls. One invalid weight vector fails the entire request
-// (all-or-nothing, like a single query); the batch occupies a single
-// admission slot — it is one request's worth of work from the
-// scheduler's point of view, amortized though it is.
+// handleTopNBatch answers B queries in one request against one
+// snapshot. Per-query output is bit-identical to solo /v1/topn calls.
+// One invalid weight vector fails the entire request (all-or-nothing,
+// like a single query); the batch occupies a single admission slot — it
+// is one request's worth of work from the scheduler's point of view.
 func (s *Server) handleTopNBatch(w http.ResponseWriter, r *http.Request) {
 	var req TopNBatchRequest
 	if !decode(w, r, &req) {
@@ -514,15 +512,14 @@ func (s *Server) handleTopNBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchThroughCache answers a batch with cache consultation: hits are
-// served from their entries, distinct missed keys are evaluated in ONE
-// fused TopNBatch pass (keeping the batch path's whole-batch slab
-// amortization for the part that needs computing), and each computed
-// ranking is installed for the next request. Duplicate weight vectors
-// within the batch are evaluated once and share the result — the walk
-// is deterministic, so the copies are bit-identical by construction.
-// Batch members do not join cross-request singleflight flights (that
-// would serialize the fused pass behind solo queries); coalescing
-// within the request is the dedup itself.
+// served from their entries, distinct missed keys are evaluated in one
+// TopNBatch call, and each computed ranking is installed for the next
+// request. Duplicate weight vectors within the batch are evaluated once
+// and share the result — the walk is deterministic, so the copies are
+// bit-identical by construction. Batch members do not join
+// cross-request singleflight flights (that would serialize the batch
+// behind solo queries); coalescing within the request is the dedup
+// itself.
 func (s *Server) batchThroughCache(snap *core.Index, weights [][]float64, n int, epoch uint64) ([][]core.Result, []core.Stats, []bool, error) {
 	nq := len(weights)
 	results := make([][]core.Result, nq)

@@ -428,15 +428,6 @@ func (s *Server) apply(batch []op) {
 			}
 		}
 	}
-	// Legacy mode invalidated the clone's columnar slabs; rebuild them
-	// off the query path so every published snapshot serves through the
-	// cache-friendly layout. Delta mode shares the base's slabs — they
-	// still describe the (untouched) base layers — so there is nothing
-	// to rebuild: that O(n) pass is exactly what the delta path removes
-	// from publish latency.
-	if applied > 0 && !deltaMode {
-		next.BuildSlabs()
-	}
 	// The WAL frames and the compaction journal both carry the batch's
 	// surviving operations in their effective form.
 	var muts []wal.Mutation

@@ -106,7 +106,7 @@ func (e *Endpoint) TopN(ctx context.Context, req server.TopNRequest) (*server.To
 	return &out, nil
 }
 
-// TopNBatch runs a fused batch of queries. Idempotent: retried.
+// TopNBatch runs a batch of queries in one request. Idempotent: retried.
 func (e *Endpoint) TopNBatch(ctx context.Context, req server.TopNBatchRequest) (*server.TopNBatchResponse, error) {
 	var out server.TopNBatchResponse
 	if err := e.postJSON(ctx, "/v1/topn/batch", req, &out, true); err != nil {

@@ -380,8 +380,8 @@ type BatchResult struct {
 }
 
 // TopNBatch fans a whole batch out to every shard group — each shard
-// runs its fused multi-query pass over its own slabs — and merges per
-// query position. Failure semantics match TopN; a failed group is
+// answers it with one /v1/topn/batch request — and merges per query
+// position. Failure semantics match TopN; a failed group is
 // missing from every query of the batch.
 func (c *Coordinator) TopNBatch(ctx context.Context, weights [][]float64, n int) (*BatchResult, error) {
 	if n <= 0 {

@@ -1,10 +1,7 @@
 // Package shellgeom defines the angular bucket layout of the paper's
 // Section 6 spherical shells: the partition of directions around a
-// layer center into cones, shared by the standalone shells index
-// (internal/shells) and the columnar shell tables of the core query
-// path (internal/core). Keeping the geometry in one leaf package makes
-// the two realizations provably bucket-compatible and lets core use it
-// without an import cycle (shells imports core).
+// layer center into cones, used by the columnar shell tables of the
+// core query path (internal/core).
 //
 // In two dimensions the layout is the literal Figure 11 picture:
 // Sectors2D equal sectors. In higher dimensions full angular grids

@@ -35,7 +35,6 @@ func buildShellIndex(t testing.TB, n, d int, seed int64) *core.Index {
 	if err := ix.InsertBatch(add); err != nil {
 		t.Fatal(err)
 	}
-	ix.BuildSlabs()
 	return ix
 }
 

@@ -107,7 +107,7 @@ func TestWriteOpenFile(t *testing.T) {
 	// The disk walker implements the paper's unpruned evaluation
 	// procedure, so turn off the core's bound-based layer pruning to
 	// make the work statistics comparable (results match either way).
-	ix.SetLayerPruning(false)
+	ix.SetPruningMode(core.PruneNothing)
 	w := []float64{0.25, 0.25, 0.25, 0.25}
 	wantRes, wantStats, err := ix.TopN(w, 20)
 	if err != nil {

@@ -281,3 +281,68 @@ func TestCompactorPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("restart-then-fold diverged from fold: %s vs %s", a, b)
 	}
 }
+
+// TestRecoveredShellIndexKeepsSlabs: a shell-mode checkpoint plus one
+// logged insert frame and one logged delete frame recovers — decoded on
+// the heap and served from the mapping — an index that still evaluates
+// layers through its shell tables and answers exactly like the index
+// the log described before the crash.
+func TestRecoveredShellIndexKeepsSlabs(t *testing.T) {
+	opt := core.Options{Seed: 29, Shells: true}
+	for _, mmap := range []bool{false, true} {
+		dir := t.TempDir()
+		ix, err := core.Build(testRecords(t, 600, 3, 29), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, _, err := Open(dir, Config{CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Bootstrap(ix); err != nil {
+			t.Fatal(err)
+		}
+		next := ix.Clone()
+		ins := []core.Record{{ID: 5000, Vector: []float64{4, 4, 4}}}
+		if err := next.InsertBatch(ins); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.CommitBatch([]Mutation{{Insert: ins}}, next); err != nil {
+			t.Fatal(err)
+		}
+		if err := next.DeleteBatch([]uint64{3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.CommitBatch([]Mutation{{Delete: []uint64{3}}}, next); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		mgr2, rec, err := Open(dir, Config{Mmap: mmap, CheckpointBytes: -1, Options: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mmap && mgr2.Mapped() == nil {
+			t.Fatal("mmap reopen did not map the checkpoint")
+		}
+		for _, w := range [][]float64{{1, 0.5, -0.2}, {-1, 2, 0}, {0.3, 0.3, 0.3}} {
+			want, _, err := next.TopN(w, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := rec.TopN(w, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShellLayers == 0 {
+				t.Fatalf("mmap=%v weights %v: recovered index evaluated no layer through its shell table (%+v)", mmap, w, st)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("mmap=%v weights %v: recovered %v, want %v", mmap, w, got, want)
+			}
+		}
+		mgr2.Close()
+	}
+}

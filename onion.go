@@ -39,7 +39,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hierarchy"
-	"repro/internal/shells"
 	"repro/internal/storage"
 )
 
@@ -101,8 +100,8 @@ type Options struct {
 	// top-N floor. Results are bit-identical with shells on or off —
 	// only the work statistics change (see
 	// QueryStats.RecordsSkippedByShells). Maintenance and compaction
-	// keep the tables up to date; SetShellPruning toggles the mode on
-	// an existing index.
+	// rebuild the tables of every layer they re-peel; SetShellPruning
+	// toggles the mode on an existing index.
 	Shells bool
 }
 
@@ -111,9 +110,6 @@ type Options struct {
 // (Insert/Delete/Update) is not and invalidates concurrent queries.
 type Index struct {
 	ix *core.Index
-	// shellIx, when non-nil, accelerates whole-layer evaluation with
-	// the paper's spherical-shell structure; maintenance invalidates it.
-	shellIx *shells.Index
 	// cache, when non-nil, memoizes TopN results keyed by exact weight
 	// bits (EnableResultCache); maintenance bumps its epoch so stale
 	// entries are never served.
@@ -164,9 +160,6 @@ func (x *Index) TopN(weights []float64, n int) ([]Result, error) {
 // tie-break-stable — and the reported stats describe the walk that
 // originally produced the entry.
 func (x *Index) TopNStats(weights []float64, n int) ([]Result, QueryStats, error) {
-	if x.shellIx != nil {
-		return x.shellIx.TopN(weights, n)
-	}
 	if x.cache != nil && n > 0 {
 		res, st, _, err := x.cache.GetOrCompute(core.WeightKey(weights), n, x.cache.Epoch(),
 			func() ([]Result, QueryStats, error) { return x.ix.TopN(weights, n) })
@@ -188,9 +181,8 @@ func (x *Index) TopNStats(weights []float64, n int) ([]Result, QueryStats, error
 // (a cached top-K answers any n ≤ K) and epoch invalidation on every
 // maintenance operation — a cached result can never survive a mutation.
 // maxBytes <= 0 disables the cache. The cache sits behind TopN /
-// TopNStats / Minimize; Search streams, TopNBatch, filtered queries and
-// shell-accelerated evaluation (Accelerate) bypass it. Not safe to call
-// concurrently with queries.
+// TopNStats / Minimize; Search streams, TopNBatch and filtered queries
+// bypass it. Not safe to call concurrently with queries.
 func (x *Index) EnableResultCache(maxBytes int64) {
 	x.cache = cache.New(maxBytes, 0)
 }
@@ -219,21 +211,17 @@ func (x *Index) CacheStats() CacheStats {
 	}
 }
 
-// invalidate drops every query acceleration structure that a mutation
-// may have made stale: the spherical-shell index is rebuilt only by an
-// explicit Accelerate, and the result cache's epoch bump retires all
-// cached rankings at once (entries are collected lazily).
+// invalidate retires every cached ranking a mutation may have made
+// stale: the result cache's epoch bump drops them all at once (entries
+// are collected lazily).
 func (x *Index) invalidate() {
-	x.shellIx = nil
 	x.cache.Invalidate()
 }
 
-// TopNBatch answers many top-N queries in one fused pass over the
-// index: each layer's columnar slab is streamed through the cache once
-// for the whole batch instead of once per query, which is the cheap way
-// to serve concurrent query load. Results and stats are positional and
-// bit-identical to what per-query TopN calls would return. One invalid
-// weight vector fails the entire batch before any evaluation.
+// TopNBatch answers many top-N queries, returning results and stats
+// positionally, each exactly what a per-query TopN call would return.
+// One invalid weight vector fails the entire batch before any
+// evaluation.
 func (x *Index) TopNBatch(weightsList [][]float64, n int) ([][]Result, []QueryStats, error) {
 	return x.ix.TopNBatch(weightsList, n)
 }
@@ -297,10 +285,9 @@ func (x *Index) SearchContext(ctx context.Context, weights []float64, limit int)
 // the clone never affects the original (attribute vectors, which are
 // immutable, are shared). This is the substrate for snapshot-isolated
 // serving — apply a batch of changes to a clone, then atomically swap
-// it in — as cmd/onionserve does. The columnar shell-pruning mode
-// (Options.Shells / SetShellPruning) carries over; the legacy
-// Accelerate structure and sorted-column structures do not — re-enable
-// them on the clone if needed.
+// it in — as cmd/onionserve does. The shell-pruning mode
+// (Options.Shells / SetShellPruning) carries over; the result cache
+// does not.
 func (x *Index) Clone() *Index {
 	return &Index{ix: x.ix.Clone()}
 }
@@ -314,7 +301,7 @@ func (x *Index) Clone() *Index {
 func (x *Index) SetParallelism(n int) { x.ix.SetParallelism(n) }
 
 // Insert adds a record, cascading layer repairs inwards (paper Section
-// 3.4). It invalidates any shell acceleration.
+// 3.4).
 func (x *Index) Insert(rec Record) error {
 	x.invalidate()
 	return x.ix.Insert(rec)
@@ -346,18 +333,6 @@ func (x *Index) Update(id uint64, vector []float64) error {
 	x.invalidate()
 	return x.ix.Update(id, vector)
 }
-
-// Accelerate builds the paper's spherical-shell auxiliary structure
-// (Section 6, Figure 11) over every layer; subsequent TopN calls
-// evaluate only the angular buckets that can matter, roughly halving
-// evaluated records on uniform data. Maintenance drops the structure;
-// call Accelerate again afterwards.
-func (x *Index) Accelerate() {
-	x.shellIx = shells.New(x.ix)
-}
-
-// Accelerated reports whether shell acceleration is active.
-func (x *Index) Accelerated() bool { return x.shellIx != nil }
 
 // PruningMode selects how much bound-based work-skipping the query path
 // performs. Every mode returns bit-identical results; the modes differ

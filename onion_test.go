@@ -1,6 +1,8 @@
 package onion
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -130,48 +132,69 @@ func TestStreamProgressive(t *testing.T) {
 	}
 }
 
-func TestAccelerateMatchesPlain(t *testing.T) {
-	recs, pts := testRecords(workload.Uniform, 3000, 3, 4)
-	ix, err := Build(recs, Options{})
-	if err != nil {
-		t.Fatal(err)
+// bruteRanking ranks a live record set by brute force on the total
+// order (score descending, ID ascending).
+func bruteRanking(live map[uint64][]float64, w []float64, n int) []Result {
+	out := make([]Result, 0, len(live))
+	for id, v := range live {
+		out = append(out, Result{ID: id, Score: geom.Dot(w, v)})
 	}
-	w := []float64{0.2, 0.5, 0.3}
-	plain, plainStats, err := ix.TopNStats(w, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Accelerate()
-	if !ix.Accelerated() {
-		t.Fatal("Accelerated() false after Accelerate")
-	}
-	fast, fastStats, err := ix.TopNStats(w, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle(pts, w, 20)
-	for i := range fast {
-		if diff := fast[i].Score - want[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("rank %d: accel %v want %v", i, fast[i].Score, want[i])
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
 		}
-		_ = plain
-	}
-	if fastStats.RecordsEvaluated >= plainStats.RecordsEvaluated {
-		t.Errorf("acceleration evaluated %d records, plain %d", fastStats.RecordsEvaluated, plainStats.RecordsEvaluated)
-	}
-	// Maintenance invalidates acceleration.
-	if err := ix.Insert(Record{ID: 999999, Vector: []float64{9, 9, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Accelerated() {
-		t.Error("acceleration survived maintenance")
-	}
-	got, err := ix.TopN(w, 1)
+		return out[a].ID < out[b].ID
+	})
+	return out[:min(n, len(out))]
+}
+
+// TestShellModeSurvivesMaintenance: after an Insert and a Delete, an
+// Options{Shells: true} index still evaluates layers through its shell
+// tables and still matches a brute-force ranking bit for bit.
+func TestShellModeSurvivesMaintenance(t *testing.T) {
+	recs, _ := testRecords(workload.Uniform, 3000, 3, 4)
+	ix, err := Build(recs, Options{Shells: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].ID != 999999 {
-		t.Errorf("new extreme record not found: %+v", got[0])
+	live := make(map[uint64][]float64, len(recs))
+	for _, r := range recs {
+		live[r.ID] = r.Vector
+	}
+	ws := [][]float64{{0.2, 0.5, 0.3}, {-1, 0.4, 0.1}, {0.3, -0.3, 1}}
+	top, err := ix.TopN(ws[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Delete(top[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	delete(live, top[0].ID)
+	ins := Record{ID: 999999, Vector: []float64{0.7, 0.7, 0.7}}
+	if err := ix.Insert(ins); err != nil {
+		t.Fatal(err)
+	}
+	live[ins.ID] = ins.Vector
+	if !ix.ShellPruning() {
+		t.Fatal("maintenance left shell mode")
+	}
+	for _, w := range ws {
+		got, st, err := ix.TopNStats(w, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ShellLayers == 0 {
+			t.Fatalf("weights %v: no layer evaluated through its shell table (%+v)", w, st)
+		}
+		want := bruteRanking(live, w, 20)
+		if len(got) != len(want) {
+			t.Fatalf("weights %v: %d results, want %d", w, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("weights %v rank %d: got %+v, want %+v", w, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -234,6 +257,39 @@ func TestSaveOpenDisk(t *testing.T) {
 	di.ResetIO()
 	if di.IO().RandomAccesses != 0 {
 		t.Error("reset failed")
+	}
+}
+
+// TestDiskTopNEdgeCases: the on-disk walk follows Index.TopN at the
+// edges — n <= 0 returns nothing without touching the file, and a NaN
+// weight is rejected with ErrNonFiniteWeight instead of ranking NaNs.
+func TestDiskTopNEdgeCases(t *testing.T) {
+	recs, _ := testRecords(workload.Gaussian, 3000, 3, 6)
+	ix, err := Build(recs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "idx.onion")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	di, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	w := []float64{0.5, 0.3, 0.2}
+	for _, n := range []int{0, -1} {
+		res, stats, io, err := di.TopN(w, n)
+		if err != nil || len(res) != 0 || stats != (QueryStats{}) || io != (IOStats{}) {
+			t.Fatalf("n=%d: %d results, stats %+v, io %+v, err %v", n, len(res), stats, io, err)
+		}
+	}
+	if _, _, _, err := di.TopN([]float64{math.NaN(), 0, 0}, 5); !errors.Is(err, ErrNonFiniteWeight) {
+		t.Fatalf("NaN weight: err = %v, want ErrNonFiniteWeight", err)
+	}
+	if _, err := di.Search([]float64{0, math.Inf(1), 0}, 5); !errors.Is(err, ErrNonFiniteWeight) {
+		t.Fatalf("Inf weight stream: err = %v, want ErrNonFiniteWeight", err)
 	}
 }
 

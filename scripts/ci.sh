@@ -87,10 +87,10 @@ trap 'rm -f "$smoke_out" "$query_out" "$cache_out" "$shard_out"' EXIT
 go run ./cmd/onionbench -build-scaling -n 8000 -build-workers 1,4 -build-out "$smoke_out"
 
 # Query-path equivalence smoke: a small -query-scaling sweep
-# cross-checks every scoring path — legacy record walk, columnar slabs
-# (pruned and unpruned), and the fused batch driver — for bit-identical
-# top-N output (IDs, score bits, order) at worker counts 1 and 4, and
-# checks the reference itself against a brute-force scan. Any
+# cross-checks every pruning mode of the columnar walk — unpruned,
+# layer-pruned and shell-pruned — and TopNBatch for bit-identical top-N
+# output (IDs, score bits, order) at worker counts 1 and 4, and checks
+# the unpruned reference against a brute-force scan. Any
 # divergence exits non-zero. The committed BENCH_query.json is the
 # full-size (100k-point) run of the same gate.
 echo "== query path equivalence smoke (onionbench -query-scaling)"
@@ -98,9 +98,9 @@ go run ./cmd/onionbench -query-scaling -n 3000 -queries 32 -query-workers 1,4 -q
 
 # Shell-pruning smoke at a corpus size where the angular buckets do
 # real skipping: the same bit-equivalence gate (shells solo + batched
-# against legacy, with and without an active delta buffer, plus the
-# brute-force oracle) over a 10k corpus at top-10 only, so it stays
-# seconds. The committed BENCH_query.json is the 100k run whose
+# against the unpruned walk, with and without an active delta buffer,
+# plus the brute-force oracle) over a 10k corpus at top-10 only, so it
+# stays seconds. The committed BENCH_query.json is the 100k run whose
 # headline records the shells records-evaluated cut.
 echo "== shell pruning equivalence smoke (onionbench -query-scaling, 10k)"
 shells_out="$(mktemp)"

@@ -2,11 +2,11 @@
 # Query-path benchmark sweep across GOMAXPROCS settings.
 #
 # The committed BENCH_query.json is a single-host snapshot at the
-# host's default GOMAXPROCS; this script measures how the scoring paths
-# (legacy / columnar / columnar+prune / shells / fused batch) behave as
-# the scheduler is given 1, 2, ... P cores, and merges every
-# per-setting summary into ONE JSON document (scripts/mergebench), so a
-# whole sweep ships as a single artifact. Every individual run still
+# host's default GOMAXPROCS; this script measures how the pruning modes
+# (columnar / columnar+prune / shells) behave as the scheduler is given
+# 1, 2, ... P cores, and merges every per-setting summary into ONE JSON
+# document (scripts/mergebench), so a whole sweep ships as a single
+# artifact. Every individual run still
 # gates on the cross-mode bit-equivalence oracle before timing — a
 # sweep that measures a wrong answer exits non-zero instead.
 #
