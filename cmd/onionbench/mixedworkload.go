@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"math/rand"
 	"os"
@@ -332,6 +333,21 @@ func mixedWorkload(n, readers, rate int, dur time.Duration, threshold int, outPa
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", outPath)
+	// The write path must also keep up: a run that acked twice the fold
+	// threshold has to have published a fold, and no fold may fail.
+	folds := srv.Vars().Get("compactions").(*expvar.Int).Value()
+	foldErrs := srv.Vars().Get("compaction_errors").(*expvar.Int).Value()
+	fmt.Printf("folds: %d published, %d failed\n", folds, foldErrs)
+	foldAt := threshold
+	if foldAt == 0 {
+		foldAt = server.DefaultDeltaThreshold
+	}
+	if foldAt > 0 && inserts+deletes >= 2*int64(foldAt) && folds == 0 {
+		fatal(fmt.Errorf("mixed-workload: %d acked mutations against a fold threshold of %d, but no fold completed", inserts+deletes, foldAt))
+	}
+	if foldErrs > 0 {
+		fatal(fmt.Errorf("mixed-workload: %d folds failed", foldErrs))
+	}
 	if stale != 0 {
 		fatal(fmt.Errorf("mixed-workload: %d acked mutations were not visible in the next snapshot", stale))
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -161,5 +163,99 @@ func TestDeleteBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("trial %d rank %d: batch %v sequential %v", trial, i, ra[i].Score, rb[i].Score)
 			}
 		}
+	}
+	checkFingerprintMatchesBuild(t, a)
+	checkFingerprintMatchesBuild(t, b)
+
+	// Single deletes at every depth, and one batch holding a record of
+	// every depth applied both at once and one by one, in 2D–4D: each
+	// layering must equal a fresh Build of the survivors.
+	for dim := 2; dim <= 4; dim++ {
+		base, err := Build(mkRecords(workload.Points(workload.Gaussian, 300, dim, int64(75+dim))), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch []uint64
+		for k := 0; k < base.NumLayers(); k++ {
+			layer := base.Layer(k)
+			id := layer[rng.Intn(len(layer))].ID
+			batch = append(batch, id)
+			ix := base.Clone()
+			if err := ix.Delete(id); err != nil {
+				t.Fatalf("%dD layer %d: %v", dim, k, err)
+			}
+			checkSlabInvariant(t, ix)
+			checkFingerprintMatchesBuild(t, ix)
+		}
+		one, seq := base.Clone(), base.Clone()
+		if err := one.DeleteBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range batch {
+			if err := seq.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ix := range []*Index{one, seq} {
+			checkSlabInvariant(t, ix)
+			checkFingerprintMatchesBuild(t, ix)
+		}
+	}
+}
+
+// TestDeleteExposingNothingBuildsOneHull pins the cost of the
+// cascade's early stop: removing a vertex of the outer of six nested
+// regular octagons exposes nothing inside, so the delete builds one
+// hull (the outer layer without the vertex) and reattaches every
+// deeper layer with the slab it had. A batch that also removes a
+// vertex of layer 3 builds one more hull there, and the untouched
+// layers between and below keep their slabs too.
+func TestDeleteExposingNothingBuildsOneHull(t *testing.T) {
+	// Each octagon is 0.6 times the size of the last and turned a little;
+	// removing a vertex cuts a chord at cos(π/4) ≈ 0.71 of the radius.
+	var recs []Record
+	for k := 0; k < 6; k++ {
+		r := math.Pow(0.6, float64(k))
+		for j := 0; j < 8; j++ {
+			a := 2*math.Pi*float64(j)/8 + 0.1*float64(k)
+			recs = append(recs, Record{ID: uint64(len(recs) + 1), Vector: []float64{r * math.Cos(a), r * math.Sin(a)}})
+		}
+	}
+	base, err := Build(recs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.NumLayers() != 6 {
+		t.Fatalf("nested octagons peeled into %d layers", base.NumLayers())
+	}
+	for _, victims := range [][]int{{0}, {0, 3}} {
+		ix := base.Clone()
+		slabs := append([]layerSlab(nil), ix.slabs...)
+		var ids []uint64
+		for _, k := range victims {
+			ids = append(ids, ix.Layer(k)[0].ID)
+		}
+		calls := hullCalls(func() {
+			if err := ix.DeleteBatch(ids); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(calls) != len(victims) {
+			t.Errorf("deleting from layers %v built %d hulls, want %d", victims, len(calls), len(victims))
+		}
+		for k := 0; k < 6; k++ {
+			want := 8
+			if slices.Contains(victims, k) {
+				want = 7
+			}
+			if ix.LayerSize(k) != want {
+				t.Fatalf("layer sizes %v after deleting from layers %v", ix.LayerSizes(), victims)
+			}
+			if rebuilt := &ix.slabs[k].data[0] != &slabs[k].data[0]; rebuilt != (want == 7) {
+				t.Errorf("deleting from layers %v: layer %d rebuilt = %v", victims, k, rebuilt)
+			}
+		}
+		checkSlabInvariant(t, ix)
+		checkFingerprintMatchesBuild(t, ix)
 	}
 }

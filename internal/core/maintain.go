@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hull"
 )
@@ -17,7 +17,8 @@ import (
 //
 // As the paper notes, maintenance is far more expensive than querying
 // (each step is a hull construction); batch maintenance is advisable in
-// practice and is provided by InsertBatch.
+// practice and is provided by InsertBatch and DeleteBatch, of which
+// Insert and Delete are the one-record cases.
 
 // computeHull is the hull constructor used by construction and every
 // maintenance cascade. A package variable so tests can inject hull
@@ -36,50 +37,28 @@ var ErrDuplicateID = errors.New("core: duplicate record ID")
 // ErrNotFound is returned by Delete/Update for an unknown ID.
 var ErrNotFound = errors.New("core: record not found")
 
-// Insert adds one record. The layer it belongs to is located by binary
-// search over the nested layer hulls — r is inside the hull of layer k-1
-// and outside the hull of layer k — then the insertion cascade runs from
-// that layer inwards.
+// Insert adds one record (InsertBatch of one).
 func (ix *Index) Insert(rec Record) error {
-	if err := ix.mutable(); err != nil {
-		return err
-	}
-	ix.materializePosOf()
-	ix.materializeRecs()
-	if len(rec.Vector) != ix.dim {
-		return fmt.Errorf("core: insert dimension %d, want %d", len(rec.Vector), ix.dim)
-	}
-	if _, dup := ix.posOf[rec.ID]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, rec.ID)
-	}
-	pos := ix.alloc(rec)
-	k, err := ix.locateLayer(rec.Vector)
-	if err != nil {
-		ix.unalloc(rec.ID, pos)
-		return err
-	}
-	if err := ix.cascade(k, []int{pos}); err != nil {
-		ix.unalloc(rec.ID, pos)
-		return err
-	}
-	return nil
+	return ix.InsertBatch([]Record{rec})
 }
 
-// InsertBatch adds many records with one cascade per affected outer
-// layer group. It currently locates each record individually but shares
-// the cascade, which dominates; for bulk loads prefer rebuilding.
+// InsertBatch adds records with one cascade. The outermost layer a new
+// record enters is found by one binary search for the whole batch:
+// layer hulls nest, so "every new record lies inside layer k's hull"
+// holds for exactly the layers above that one. Each probe builds one
+// layer hull and tests the records against it until one falls outside,
+// so locating costs ⌈log₂(L+1)⌉ hulls however large the batch, and the
+// cascade dominates. The cascade starts at that layer carrying every
+// new record; one that belongs deeper rides the carry until it becomes
+// a hull vertex. Validation precedes any mutation; a cascade error can
+// leave the index torn.
 func (ix *Index) InsertBatch(recs []Record) error {
 	if err := ix.mutable(); err != nil {
 		return err
 	}
 	ix.materializePosOf()
 	ix.materializeRecs()
-	// Records must be grouped by target layer so one cascade handles all
-	// of them; locating first, before any mutation, keeps the search
-	// consistent.
-	group := make(map[int][]Record)
 	seen := make(map[uint64]bool, len(recs))
-	minK := -1
 	for _, r := range recs {
 		if len(r.Vector) != ix.dim {
 			return fmt.Errorf("core: insert dimension %d, want %d", len(r.Vector), ix.dim)
@@ -91,164 +70,72 @@ func (ix *Index) InsertBatch(recs []Record) error {
 			return fmt.Errorf("%w: %d", ErrDuplicateID, r.ID)
 		}
 		seen[r.ID] = true
-		k, err := ix.locateLayer(r.Vector)
-		if err != nil {
-			return err
-		}
-		group[k] = append(group[k], r)
-		if minK < 0 || k < minK {
-			minK = k
-		}
 	}
-	if minK < 0 {
+	if len(recs) == 0 {
 		return nil
 	}
-	// One cascade from the outermost affected layer carrying every new
-	// record placed at or below it is correct: the cascade re-peels all
-	// deeper layers anyway.
-	var carry []int
-	ks := make([]int, 0, len(group))
-	for k := range group {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		for _, r := range group[k] {
-			carry = append(carry, ix.alloc(r))
+	lo, hi := 0, len(ix.layers) // invariant: hulls 0..lo-1 contain every record
+	for lo < hi {
+		mid := (lo + hi) / 2
+		h, err := computeHull(ix.pts, ix.layers[mid], ix.hullOpts())
+		if err != nil {
+			return fmt.Errorf("core: hull of layer %d: %w", mid, err)
+		}
+		inside := true
+		for _, r := range recs {
+			if !h.Contains(r.Vector) {
+				inside = false
+				break
+			}
+		}
+		if inside {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return ix.cascade(minK, carry)
+	carry := make([]int, len(recs))
+	for i, r := range recs {
+		carry[i] = ix.alloc(r)
+	}
+	return ix.cascade(lo, carry, nil)
 }
 
-// Delete removes the record with the given ID and repairs the layering
-// with the deletion cascade.
+// Delete removes one record (DeleteBatch of one).
 func (ix *Index) Delete(id uint64) error {
-	if err := ix.mutable(); err != nil {
-		return err
-	}
-	ix.materializePosOf()
-	ix.materializeRecs()
-	pos, ok := ix.posOf[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	k := ix.layerOf[pos]
-	ix.unalloc(id, pos)
-	// S = L_k − {r}; the cascade merges S with layer k+1 and re-peels.
-	// Layer k itself is dropped: carry replaces it.
-	cut := ix.cutLayers(k)
-	carry := make([]int, 0, len(cut[0].pos)-1)
-	for _, p := range cut[0].pos {
-		if p != pos {
-			carry = append(carry, p)
-		}
-	}
-	return ix.resolve(carry, cut[1:])
+	return ix.DeleteBatch([]uint64{id})
 }
 
 // DeleteBatch removes several records with one cascade from the
 // outermost affected layer — the batch maintenance the paper recommends
-// over per-record cascades. Unknown IDs fail the whole batch before any
-// mutation.
+// over per-record cascades. Unknown or repeated IDs fail the whole
+// batch before any mutation.
 func (ix *Index) DeleteBatch(ids []uint64) error {
 	if err := ix.mutable(); err != nil {
 		return err
 	}
 	ix.materializePosOf()
 	ix.materializeRecs()
-	if len(ids) == 0 {
-		return nil
-	}
-	victims := make(map[int]bool, len(ids))
-	minK := -1
+	gone := make(map[int]bool, len(ids))
+	minK := len(ix.layers)
 	for _, id := range ids {
 		pos, ok := ix.posOf[id]
 		if !ok {
 			return fmt.Errorf("%w: %d", ErrNotFound, id)
 		}
-		if victims[pos] {
+		if gone[pos] {
 			return fmt.Errorf("core: duplicate ID %d in batch", id)
 		}
-		victims[pos] = true
-		if k := ix.layerOf[pos]; minK < 0 || k < minK {
-			minK = k
-		}
+		gone[pos] = true
+		minK = min(minK, ix.layerOf[pos])
 	}
-	// deepest original depth holding a victim: the cascade may only
-	// reattach untouched inner layers once it has peeled past it AND the
-	// last consumed layer was intact — removing a vertex from layer j
-	// can expose layer j+1 points, so a victim layer never justifies an
-	// early stop even if the carry empties there.
-	deepest := minK
-	for pos := range victims {
-		if k := ix.layerOf[pos]; k > deepest {
-			deepest = k
-		}
+	if len(ids) == 0 {
+		return nil
 	}
 	for _, id := range ids {
-		pos := ix.posOf[id]
-		ix.unalloc(id, pos)
+		ix.unalloc(id, ix.posOf[id])
 	}
-	rest := ix.cutLayers(minK)
-
-	// The cascade generalizes the paper's single-record rule: removing a
-	// vertex from layer j can expose points of layer j+1, so a pool
-	// that absorbed a victim layer must also absorb the layer after it
-	// before its hull may be emitted — recursively, until the last
-	// absorbed layer is intact. Once a pool ending in an intact layer
-	// empties the carry and no victims remain deeper, the untouched
-	// suffix reattaches unchanged.
-	var carry []int
-	i := 0
-	for i < len(rest) {
-		pool := append([]int(nil), carry...)
-		lastHadVictims := false
-		for {
-			lastHadVictims = false
-			for _, p := range rest[i].pos {
-				if victims[p] {
-					lastHadVictims = true
-				} else {
-					pool = append(pool, p)
-				}
-			}
-			i++
-			if !lastHadVictims || i >= len(rest) {
-				break
-			}
-		}
-		if len(pool) == 0 {
-			carry = nil
-			continue
-		}
-		h, err := computeHull(ix.pts, pool, ix.hullOpts())
-		if err != nil {
-			return fmt.Errorf("core: batch delete hull: %w", err)
-		}
-		if h.Joggled() {
-			ix.joggled = true
-		}
-		ix.appendLayer(h.Vertices)
-		inVerts := make(map[int]bool, len(h.Vertices))
-		for _, v := range h.Vertices {
-			inVerts[v] = true
-		}
-		next := pool[:0]
-		for _, p := range pool {
-			if !inVerts[p] {
-				next = append(next, p)
-			}
-		}
-		carry = next
-		if len(carry) == 0 && !lastHadVictims && minK+i > deepest {
-			for _, l := range rest[i:] {
-				ix.attachLayer(l)
-			}
-			return nil
-		}
-	}
-	// Leftovers past the innermost layer peel into fresh layers.
-	return ix.resolve(carry, nil)
+	return ix.cascade(minK, nil, gone)
 }
 
 // Update replaces the vector of an existing record (delete + insert, as
@@ -310,7 +197,7 @@ func (ix *Index) alloc(rec Record) int {
 	return pos
 }
 
-// unalloc releases a position (used on insert failure and by Delete).
+// unalloc releases the position of a deleted record.
 func (ix *Index) unalloc(id uint64, pos int) {
 	ix.cc = nil
 	delete(ix.posOf, id)
@@ -319,65 +206,54 @@ func (ix *Index) unalloc(id uint64, pos int) {
 	ix.free = append(ix.free, pos)
 }
 
-// locateLayer finds the outermost layer whose hull does NOT contain v —
-// the layer v must join. Containment is monotone (layer k's hull
-// geometrically encloses layer k+1's), so binary search applies, as the
-// paper suggests. If every layer's hull contains v the record starts a
-// cascade below the innermost layer (possibly becoming a new layer).
-func (ix *Index) locateLayer(v []float64) (int, error) {
-	lo, hi := 0, len(ix.layers) // invariant: hulls 0..lo-1 contain v
-	for lo < hi {
-		mid := (lo + hi) / 2
-		h, err := ix.layerHull(mid)
-		if err != nil {
-			return 0, err
-		}
-		if h.Contains(v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-// layerHull computes the hull of layer k's points. Layer members are by
-// construction the hull vertices of everything at-or-below the layer, so
-// the hull of the layer alone has the same boundary.
-func (ix *Index) layerHull(k int) (*hull.Hull, error) {
-	h, err := computeHull(ix.pts, ix.layers[k], ix.hullOpts())
-	if err != nil {
-		return nil, fmt.Errorf("core: hull of layer %d: %w", k, err)
-	}
-	return h, nil
-}
-
-// cascade inserts the carried positions starting at layer k, following
-// the paper's insertion pseudocode: merge carry with layer k, keep the
-// hull vertices as the new layer k, carry the remainder to layer k+1.
-func (ix *Index) cascade(k int, carry []int) error {
-	return ix.resolve(carry, ix.cutLayers(k))
-}
-
-// resolve re-peels: pool = carry ∪ next old layer; the pool's hull
-// vertices become the next new layer; non-vertices are carried deeper.
-// When the carry empties, the untouched old layers are still valid (they
-// are enclosed by the layer just emitted) and are reattached as-is,
-// slabs included.
-func (ix *Index) resolve(carry []int, rest []layerState) error {
-	for {
-		if len(carry) == 0 {
-			for _, l := range rest {
-				ix.attachLayer(l)
-			}
-			return nil
-		}
+// cascade re-peels the layering from layer k inwards (paper Section
+// 3.4). carry holds positions that must join at or below layer k (new
+// records); gone holds removed positions the old layers still list.
+// Each step pools the carry with the next old layer, emits the pool's
+// hull vertices as a new layer and carries the rest deeper. A layer
+// that lost a record may have exposed points of the layer below it, so
+// the pool keeps absorbing layers until the last one absorbed is
+// intact; the pool then holds every remaining point its hull could
+// miss.
+//
+// The cascade re-peels no layer it can show unchanged. An old layer
+// that lost no record encloses every record below it, so once nothing
+// is carried it is the hull of all that remains: it reattaches as it
+// was, slab and shell table included, and with no removed record left
+// deeper so does the rest of the old layering. A step whose carry is
+// exactly the intact layer it just absorbed — the emitted layer is what
+// the step carried in and nothing crossed it — reaches that state too.
+// So a deletion that exposes nothing costs one hull, not a re-peel of
+// every deeper layer, and a cascade ends at the first unchanged layer
+// below its last removal.
+func (ix *Index) cascade(k int, carry []int, gone map[int]bool) error {
+	rest := ix.cutLayers(k)
+	left := len(gone) // removed positions in layers not yet absorbed
+	i := 0
+	for len(carry) > 0 || (left > 0 && i < len(rest)) {
 		pool := carry
-		if len(rest) > 0 {
-			pool = make([]int, 0, len(carry)+len(rest[0].pos))
-			pool = append(pool, carry...)
-			pool = append(pool, rest[0].pos...)
-			rest = rest[1:]
+		intact := false
+		for i < len(rest) && !intact {
+			n := len(pool)
+			for _, p := range rest[i].pos {
+				if gone[p] {
+					left--
+				} else {
+					pool = append(pool, p)
+				}
+			}
+			intact = len(pool)-n == len(rest[i].pos)
+			i++
+		}
+		if intact && len(pool) == len(rest[i-1].pos) {
+			// Nothing but one intact layer: the hull of all that remains.
+			ix.attachLayer(rest[i-1])
+			carry = nil
+			continue
+		}
+		if len(pool) == 0 {
+			carry = nil // every absorbed layer was removed whole
+			continue
 		}
 		h, err := computeHull(ix.pts, pool, ix.hullOpts())
 		if err != nil {
@@ -398,5 +274,15 @@ func (ix *Index) resolve(carry []int, rest []layerState) error {
 			}
 		}
 		carry = next
+		// The pool ends with the intact layer in its order and next keeps
+		// that order, so equal slices mean equal sets.
+		if intact && slices.Equal(carry, rest[i-1].pos) {
+			ix.attachLayer(rest[i-1])
+			carry = nil
+		}
 	}
+	for _, l := range rest[i:] {
+		ix.attachLayer(l)
+	}
+	return nil
 }

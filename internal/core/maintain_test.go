@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/hull"
 	"repro/internal/workload"
 )
 
@@ -348,6 +352,153 @@ func TestInsertBatch(t *testing.T) {
 		if r.ID == 7000 {
 			t.Fatal("rejected record visible in Records")
 		}
+	}
+
+	// Batches of 1, 7 and 500 records in 2D–4D, placed outside layer 0,
+	// inside layer 3's hull and past the innermost layer. Each must give
+	// the layering a fresh Build of the same records gives, leave the
+	// layers it cannot reach with their slabs, and locate the whole
+	// batch with at most ⌈log₂(L+1)⌉ hulls before its cascade, where a
+	// per-record search builds about that many for every record.
+	const layers = 8
+	placements := []struct {
+		name   string
+		kept   int     // layers whose hulls contain every new record
+		lo, hi float64 // range of the new records' norms
+	}{
+		{"outside", 0, 1.5, 3},
+		{"deep", 4, 0, 0.95 * math.Pow(0.4, 3) / 2},
+		{"past-innermost", layers, 0, 0.95 * math.Pow(0.4, layers-1) / 2},
+	}
+	for dim := 2; dim <= 4; dim++ {
+		base := nestedCrossPolytopes(t, dim, layers, int64(dim))
+		for _, size := range []int{1, 7, 500} {
+			for _, pl := range placements {
+				ix := base.Clone()
+				slabs := append([]layerSlab(nil), ix.slabs...)
+				rng := rand.New(rand.NewSource(int64(100*dim + size)))
+				batch := make([]Record, size)
+				for i := range batch {
+					v := randomDirection(rng, dim)
+					r := pl.lo + (pl.hi-pl.lo)*rng.Float64()
+					for j := range v {
+						v[j] *= r
+					}
+					batch[i] = Record{ID: uint64(1_000_000 + i), Vector: v}
+				}
+				first := len(ix.pts) // Build leaves no free position
+				probes := -1
+				calls := hullCalls(func() {
+					if err := ix.InsertBatch(batch); err != nil {
+						t.Fatalf("%dD %s ×%d: %v", dim, pl.name, size, err)
+					}
+				})
+				for i, sel := range calls {
+					if probes < 0 && slices.ContainsFunc(sel, func(p int) bool { return p >= first }) {
+						probes = i
+					}
+				}
+				if probes < 0 {
+					t.Fatalf("%dD %s ×%d: no hull held the new records", dim, pl.name, size)
+				}
+				if bound := bits.Len(uint(layers)); probes > bound {
+					t.Errorf("%dD %s ×%d: %d hulls before the cascade, want ≤ %d", dim, pl.name, size, probes, bound)
+				}
+				for k := 0; k < pl.kept; k++ {
+					if &ix.slabs[k].data[0] != &slabs[k].data[0] {
+						t.Errorf("%dD %s ×%d: layer %d was re-peeled", dim, pl.name, size, k)
+					}
+				}
+				checkSlabInvariant(t, ix)
+				checkFingerprintMatchesBuild(t, ix)
+			}
+		}
+	}
+}
+
+// nestedCrossPolytopes builds an index whose layering is known: layer
+// k is the 2d vertices ±r_k·e_i of a cross-polytope with r_k = 0.4^k,
+// each turned by its own random rotation. A cross-polytope of radius r
+// contains the ball of radius r/√d ≥ r/2 for d ≤ 4, so every layer lies
+// strictly inside the one before it.
+func nestedCrossPolytopes(t *testing.T, dim, layers int, seed int64) *Index {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var recs []Record
+	for k := 0; k < layers; k++ {
+		r := math.Pow(0.4, float64(k))
+		// Gram–Schmidt on random directions gives the rotation's rows.
+		var rows [][]float64
+		for len(rows) < dim {
+			v := randomDirection(rng, dim)
+			for _, u := range rows {
+				d := geom.Dot(u, v)
+				for j := range v {
+					v[j] -= d * u[j]
+				}
+			}
+			n := math.Sqrt(geom.Dot(v, v))
+			for j := range v {
+				v[j] /= n
+			}
+			rows = append(rows, v)
+		}
+		for _, u := range rows {
+			for _, sign := range []float64{1, -1} {
+				v := make([]float64, dim)
+				for j := range v {
+					v[j] = sign * r * u[j]
+				}
+				recs = append(recs, Record{ID: uint64(len(recs) + 1), Vector: v})
+			}
+		}
+	}
+	ix, err := Build(recs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumLayers() != layers {
+		t.Fatalf("%d nested cross-polytopes peeled into %d layers", layers, ix.NumLayers())
+	}
+	return ix
+}
+
+// randomDirection returns a uniformly random unit vector.
+func randomDirection(rng *rand.Rand, dim int) []float64 {
+	v := make([]float64, dim)
+	for j := range v {
+		v[j] = rng.NormFloat64()
+	}
+	n := math.Sqrt(geom.Dot(v, v))
+	for j := range v {
+		v[j] /= n
+	}
+	return v
+}
+
+// hullCalls runs f with computeHull recording the selection of every
+// hull it builds.
+func hullCalls(f func()) [][]int {
+	var calls [][]int
+	defer func() { computeHull = hull.Compute }()
+	computeHull = func(pts [][]float64, sel []int, opt hull.Options) (*hull.Hull, error) {
+		calls = append(calls, append([]int(nil), sel...))
+		return hull.Compute(pts, sel, opt)
+	}
+	f()
+	return calls
+}
+
+// checkFingerprintMatchesBuild asserts that maintenance left exactly
+// the layering a fresh Build of the same records produces.
+func checkFingerprintMatchesBuild(t *testing.T, ix *Index) {
+	t.Helper()
+	fresh, err := Build(ix.Records(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ix.Fingerprint(), fresh.Fingerprint(); got != want {
+		t.Fatalf("layering %v (fingerprint %s), fresh Build %v (%s)", ix.LayerSizes(), got, fresh.LayerSizes(), want)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -184,6 +185,24 @@ func TestCompactionFoldsDeltaUnderLoad(t *testing.T) {
 	}
 	if got := s.metrics.compactionErrors.Value(); got != 0 {
 		t.Fatalf("%d compaction errors", got)
+	}
+	// fold_ms times each published fold from its start to its publish,
+	// so it counts what compactions counts and covers the swap that
+	// compact_latency_ms times.
+	vars := map[string]any{}
+	if err := json.Unmarshal([]byte(s.Vars().String()), &vars); err != nil {
+		t.Fatal(err)
+	}
+	fold, ok := vars["fold_ms"].(map[string]any)
+	if !ok {
+		t.Fatalf("no fold_ms histogram on the metrics: %v", vars["fold_ms"])
+	}
+	swap := vars["compact_latency_ms"].(map[string]any)
+	if fold["count"].(float64) != float64(s.metrics.compactions.Value()) {
+		t.Fatalf("fold_ms counts %v folds, compactions = %d", fold["count"], s.metrics.compactions.Value())
+	}
+	if fold["mean"].(float64) < swap["mean"].(float64) {
+		t.Fatalf("fold_ms mean %v is below the swap's own mean %v", fold["mean"], swap["mean"])
 	}
 
 	recs := make([]core.Record, 0, len(live))

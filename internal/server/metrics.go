@@ -64,6 +64,7 @@ type metrics struct {
 	mutateLatency    *telemetry.Histogram
 	walCommitLatency *telemetry.Histogram // group-commit (append+fsync) time
 	compactLatency   *telemetry.Histogram // journal replay + swap of a finished fold
+	foldLatency      *telemetry.Histogram // whole fold: threshold crossing to publish; allocated by New
 
 	vars *expvar.Map
 }
@@ -109,6 +110,7 @@ func newMetrics() *metrics {
 	v.Set("rebuild_latency_ms", expvar.Func(func() any { return m.mutateLatency.Summary() }))
 	v.Set("wal_commit_latency_ms", expvar.Func(func() any { return m.walCommitLatency.Summary() }))
 	v.Set("compact_latency_ms", expvar.Func(func() any { return m.compactLatency.Summary() }))
+	v.Set("fold_ms", expvar.Func(func() any { return m.foldLatency.Summary() }))
 	m.vars = v
 	return m
 }

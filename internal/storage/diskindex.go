@@ -63,10 +63,19 @@ func writeFileAtomic(fsys vfs.FS, path string, data []byte) error {
 
 // Marshal serializes the index to page-aligned bytes (the in-memory
 // equivalent of Write, also used with NewMemPager in tests/benchmarks).
+// The format stores layers only, so a pending delta buffer is folded
+// into a private copy first; the receiver is untouched.
 func Marshal(ix *core.Index) ([]byte, error) {
 	d := ix.Dim()
 	if RecordsPerPage(d) == 0 {
 		return nil, fmt.Errorf("storage: %d-dimensional records exceed the page size", d)
+	}
+	if ix.HasDelta() {
+		folded, err := ix.CompactedClone()
+		if err != nil {
+			return nil, fmt.Errorf("storage: fold pending delta: %w", err)
+		}
+		ix = folded
 	}
 	h := &Header{Dim: uint32(d), Records: uint64(ix.Len())}
 	layerData := make([][]byte, ix.NumLayers())

@@ -127,6 +127,37 @@ func TestWriteOpenFile(t *testing.T) {
 	}
 }
 
+// TestWriteFoldsPendingDelta: a snapshot carrying a delta buffer (the
+// server's normal state between folds) must save its logical content —
+// delta inserts kept, tombstoned records gone — not its base layers.
+func TestWriteFoldsPendingDelta(t *testing.T) {
+	ix := buildIndex(t, 200, 3, 3).CloneDelta()
+	if err := ix.InsertDelta([]core.Record{{ID: 1000, Vector: []float64{5, 5, 5}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.DeleteDelta([]uint64{1, 2, 3}, false); err != nil {
+		t.Fatal(err)
+	}
+	want := ix.ContentFingerprint()
+	path := filepath.Join(t.TempDir(), "delta.onion")
+	if err := Write(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	if !ix.HasDelta() || ix.ContentFingerprint() != want {
+		t.Fatal("Write changed the index it saved")
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 198 || got.ContentFingerprint() != want {
+		t.Fatalf("reloaded %d records (content %s), want 198 (%s)", got.Len(), got.ContentFingerprint(), want)
+	}
+	if k, ok := got.LayerOf(1000); !ok || k != 0 {
+		t.Fatalf("delta insert reloaded at layer %d (present %v), want layer 0", k, ok)
+	}
+}
+
 func TestIOAccounting(t *testing.T) {
 	ix := buildIndex(t, 2000, 3, 3)
 	data, err := Marshal(ix)

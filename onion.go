@@ -391,7 +391,8 @@ func (x *Index) HierarchicalCompaction() bool { return x.ix.ClusterCompactor() !
 
 // Save writes the index to path in the paged flat-file layout of the
 // paper (Section 3.1): each layer in consecutive 4 KB pages, plus a
-// tiny header of layer extents.
+// tiny header of layer extents. Pending delta mutations are folded
+// into the saved layers; the index itself is unchanged.
 func (x *Index) Save(path string) error {
 	return storage.Write(path, x.ix)
 }

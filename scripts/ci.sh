@@ -129,11 +129,14 @@ go run ./cmd/onionbench -shard-scaling -n 3000 -queries 24 -shard-counts 1,3 -sh
 # Write-path smoke: concurrent readers against a sustained mutation
 # stream through the delta buffer, with background compaction, gated on
 # sampled brute-force checks, a final rebuild-oracle bit-equivalence
-# pass, and zero stale-reads-after-ack. Exits non-zero on any
-# divergence. The committed BENCH_write.json is the full-size (1M) run.
+# pass, and zero stale-reads-after-ack. A fold threshold of 1024 lets
+# the run's few thousand mutations cross it several times, and the
+# harness fails if they reached twice the threshold without a published
+# fold, or if any fold failed. Exits non-zero on any divergence. The
+# committed BENCH_write.json is the full-size (1M) run.
 echo "== mixed read/write workload smoke (onionbench -mixed-workload)"
 mixed_out="$(mktemp)"
-go run ./cmd/onionbench -mixed-workload -n 5000 -mixed-dur 4s -mixed-rate 0 -mixed-out "$mixed_out"
+go run ./cmd/onionbench -mixed-workload -n 5000 -mixed-dur 4s -mixed-rate 0 -mixed-delta-threshold 1024 -mixed-out "$mixed_out"
 rm -f "$mixed_out"
 
 # Hierarchical compaction smoke: a 10k-point -compaction-scaling run
