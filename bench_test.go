@@ -8,6 +8,8 @@ package onion
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -28,7 +30,6 @@ type benchSet struct {
 	once sync.Once
 	pts  [][]float64
 	ix   *core.Index
-	data []byte // serialized paged layout
 }
 
 var benchSets = []*benchSet{
@@ -51,11 +52,6 @@ func (s *benchSet) get(b *testing.B) *benchSet {
 			b.Fatal(err)
 		}
 		s.ix = ix
-		data, err := storage.Marshal(ix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.data = data
 	})
 	return s
 }
@@ -169,18 +165,27 @@ func BenchmarkScanBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10DiskIO replays queries against the paged flat-file
-// layout through a counting pager and reports the measured Eq. 2 cost
-// of Figure 10 / Table 3.
+// BenchmarkFig10DiskIO replays queries against a saved index through
+// OpenDisk, which counts one seek plus the extent pages of every layer
+// a query enters, and reports the measured Eq. 2 cost of Figure 10 /
+// Table 3.
 func BenchmarkFig10DiskIO(b *testing.B) {
+	dir := b.TempDir()
 	for _, spec := range benchSets {
+		path := filepath.Join(dir, spec.name+".onion")
 		for _, topn := range []int{1, 10, 100, 1000} {
 			b.Run(fmt.Sprintf("%s/N=%d", spec.name, topn), func(b *testing.B) {
 				s := spec.get(b)
-				di, err := storage.NewDiskIndex(storage.NewMemPager(s.data))
+				if _, err := os.Stat(path); err != nil {
+					if err := (&Index{ix: s.ix}).Save(path); err != nil {
+						b.Fatal(err)
+					}
+				}
+				di, err := OpenDisk(path)
 				if err != nil {
 					b.Fatal(err)
 				}
+				defer di.Close()
 				ws := workload.QueryWeights(64, s.dim, 58)
 				var cost float64
 				b.ResetTimer()
@@ -240,24 +245,24 @@ func BenchmarkFaginVsOnion(b *testing.B) {
 	})
 }
 
-// BenchmarkShellAblation is the Section 6 / Figure 11 ablation on a
-// shell-mode index: the layer-pruned walk (PruneLayersOnly) vs the same
-// walk with spherical-shell pruning (PruneAll).
+// BenchmarkShellAblation is the Section 6 / Figure 11 ablation: the
+// layer-pruned walk over a plain clone vs the same walk over a clone
+// with spherical-shell tables.
 func BenchmarkShellAblation(b *testing.B) {
 	spec := benchSets[2] // 3D uniform: the paper's "halves the records" case
 	s := spec.get(b)
-	ix := s.ix.Clone()
-	ix.SetShellPruning(true)
+	shelled := s.ix.Clone()
+	shelled.SetShellPruning(true)
 	ws := workload.QueryWeights(64, s.dim, 33)
 	for _, mode := range []struct {
 		name string
-		m    core.PruningMode
+		ix   *core.Index
 	}{
-		{"LayersOnly", core.PruneLayersOnly},
-		{"Shells", core.PruneAll},
+		{"LayersOnly", s.ix.Clone()},
+		{"Shells", shelled},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			ix.SetPruningMode(mode.m)
+			ix := mode.ix
 			var seen, skipped float64
 			for i := 0; i < b.N; i++ {
 				_, st, err := ix.TopN(ws[i%len(ws)], 10)

@@ -75,7 +75,7 @@ var (
 	compRoundsFlag   = flag.Int("compaction-rounds", 2, "compaction-scaling: folds measured per configuration")
 	compOutFlag      = flag.String("compaction-out", "BENCH_compact.json", "compaction-scaling: summary JSON output path")
 
-	coldstartFlag    = flag.Bool("coldstart", false, "measure mmap-backed serving instead of running experiments: restart-to-first-query (v1 decode vs v2 mmap, clean checkpoints) and sustained queries under a resident budget 1/8th of the checkpoint; gates mmap ≡ heap ≡ brute force first, emits -coldstart-out JSON")
+	coldstartFlag    = flag.Bool("coldstart", false, "measure mmap-backed serving instead of running experiments: restart-to-first-query (heap decode vs mmap of the same clean v2 checkpoint) and sustained queries under a resident budget 1/8th of the checkpoint; gates mmap ≡ heap ≡ brute force first, emits -coldstart-out JSON")
 	coldstartOutFlag = flag.String("coldstart-out", "BENCH_mmap.json", "coldstart: summary JSON output path")
 
 	serveLoadFlag = flag.String("serve-load", "", "load-test a query server instead of running experiments: a base URL like http://host:8080, or 'self' to serve a synthetic corpus in-process")
@@ -543,10 +543,10 @@ func table2(sets []*testSet, sweeps map[string]*sweep) {
 }
 
 func fig10table3(sets []*testSet, sweeps map[string]*sweep, printFig, printTable bool) {
-	// Measured I/O: serialize each index to the paged layout and replay
-	// queries against a counting pager; this measures seeks and page
-	// reads instead of assuming Eq. 2 (the two agree, which the test
-	// suite asserts — here we report the measured numbers).
+	// Eq. 2 I/O: each cost is storage.EstimateCost of the layers
+	// accessed and records evaluated that the Table 1 sweep measured —
+	// one seek per layer plus the pages those records fill at the
+	// paper's 8·(d+1) bytes each. No file is written or read here.
 	if printFig {
 		fmt.Println("=== Figure 10: estimated disk I/O cost vs N (Eq. 2 weighting, random=8x) ===")
 		fmt.Printf("%6s", "N")
@@ -669,28 +669,30 @@ func faginExp(n, queries int) {
 	fmt.Println()
 }
 
-// shellsExp is the Section 6 ablation: on a shell-mode copy of each
-// test set, the layer-pruned walk (PruneLayersOnly) against the same
-// walk with spherical-shell pruning (PruneAll). Both access the same
-// layers and return the same answers, so the shells' saving is exactly
-// RecordsSkippedByShells; the run fails if the accounting disagrees.
+// shellsExp is the Section 6 ablation: on two clones of each test set
+// with layer pruning on, a plain one against one with spherical-shell
+// tables. Both access the same layers and return the same answers, so
+// the shells' saving is exactly RecordsSkippedByShells; the run fails
+// if the accounting disagrees.
 func shellsExp(sets []*testSet, queries int) {
 	fmt.Println("=== Figure 11 / Section 6: spherical-shell ablation (records evaluated) ===")
 	fmt.Printf("%-12s | %6s | %12s | %12s | %12s | %6s\n", "test set", "N", "layers-only", "shells", "skipped", "ratio")
 	for _, s := range sets {
-		ix := s.ix.Clone()
-		ix.SetShellPruning(true)
+		plainIx := s.ix.Clone()
+		plainIx.SetShellPruning(false)
+		plainIx.SetPruningMode(core.PruneAll)
+		shellIx := s.ix.Clone()
+		shellIx.SetShellPruning(true)
+		shellIx.SetPruningMode(core.PruneAll)
 		ws := workload.QueryWeights(queries, s.dim, *seedFlag+7)
 		for _, topn := range []int{10, 100} {
 			var plain, shelled, skipped float64
 			for _, w := range ws {
-				ix.SetPruningMode(core.PruneLayersOnly)
-				res, st, err := ix.TopN(w, topn)
+				res, st, err := plainIx.TopN(w, topn)
 				if err != nil {
 					fatal(err)
 				}
-				ix.SetPruningMode(core.PruneAll)
-				res2, st2, err := ix.TopN(w, topn)
+				res2, st2, err := shellIx.TopN(w, topn)
 				if err != nil {
 					fatal(err)
 				}

@@ -89,7 +89,7 @@ var (
 	hierFlag     = flag.Bool("hier-compaction", false, "fold the delta buffer per k-means cluster (paper §4) instead of re-hulling the whole index on every background compaction")
 	clustersFlag = flag.Int("compaction-clusters", 0, "cluster count for -hier-compaction (0 = ~4096 records per cluster, capped at 256)")
 	shellsFlag   = flag.Bool("shells", false, "enable spherical-shell intra-layer pruning (paper §6): bucket-order each layer around its centroid and skip angular buckets that cannot reach the top-N; answers are bit-identical, shells_* metrics report the saving")
-	pruningFlag  = flag.String("pruning", "all", "bound-based pruning mode: all, layers (no shell pruning), none (paper-faithful full evaluation)")
+	pruningFlag  = flag.String("pruning", "all", "bound-based pruning mode: all, none (paper-faithful full evaluation)")
 	mmapFlag     = flag.Bool("mmap", false, "with -data-dir: serve the recovered checkpoint from a memory mapping instead of decoding it onto the heap — restart is open+map+replay, and the OS pages layer extents in on demand (bit-identical answers; mmap_* metrics report the paging)")
 	budgetFlag   = flag.Int64("resident-budget", 0, "with -mmap: advise extents out (madvise DONTNEED, LRU over layers) once the mapped checkpoint's resident bytes exceed this budget; 0 = unlimited")
 )

@@ -112,7 +112,6 @@ func (ix *Index) compactClustered() error {
 	}
 	next.joggled = ix.joggled
 	next.noPrune = ix.noPrune
-	next.noShells = ix.noShells
 	next.cc = cc2
 	*ix = *next
 	return nil
@@ -142,7 +141,6 @@ func (ix *Index) cloneForFold() *Index {
 		slabs:     ix.slabs,
 		maxLayer:  ix.maxLayer,
 		noPrune:   ix.noPrune,
-		noShells:  ix.noShells,
 		shellMode: ix.shellMode,
 		shellTabs: ix.shellTabs,
 		slabSrc:   ix.slabSrc,

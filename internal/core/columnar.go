@@ -38,8 +38,11 @@ import (
 // (possibly bucket-ordered by the shell tables), the canonical internal
 // positions parallel to the rows, and the layer-level pruning bounds.
 type ColumnarLayer struct {
-	Data    []float64 // row-major count×dim vectors, slab row order
-	Pos     []int     // canonical internal positions, parallel to rows
+	Data []float64 // row-major count×dim vectors, slab row order
+	// Pos lists the canonical internal positions, parallel to rows. nil
+	// means the identity: row j holds the layer's j-th canonical
+	// position, which is every layer outside shell mode.
+	Pos     []int
 	MaxNorm float64   // max ‖x‖ over the layer (Cauchy–Schwarz bound basis)
 	AxMin   []float64 // per-axis minimum over the layer
 	AxMax   []float64 // per-axis maximum over the layer
@@ -69,11 +72,12 @@ type ShellBucketExport struct {
 
 // ExportColumnar returns the index's columnar state with positions
 // canonicalized to the contiguous per-layer numbering (see the package
-// comment above). The receiver is never mutated — safe on a published
-// snapshot — and the returned Data slices alias the index's slabs, so
-// the caller must treat them as read-only. Requires an empty delta
-// buffer: the unlayered delta has no columnar form, so a checkpoint
-// folds it first (CompactedClone).
+// comment above); a layer whose rows are in canonical order gets a nil
+// Pos. The receiver is never mutated — safe on a published snapshot —
+// and the returned Data slices alias the index's slabs, so the caller
+// must treat them as read-only. Requires an empty delta buffer: the
+// unlayered delta has no columnar form, so a checkpoint folds it first
+// (CompactedClone).
 func (ix *Index) ExportColumnar() ([]ColumnarLayer, error) {
 	if ix.delta != nil {
 		return nil, errors.New("core: export columnar: delta buffer pending; compact first")
@@ -85,11 +89,13 @@ func (ix *Index) ExportColumnar() ([]ColumnarLayer, error) {
 		g := shellgeom.For(ix.dim)
 		geo = &g
 	}
+	base := 0
 	for k := range ix.layers {
 		cl := &out[k]
 		sl := &ix.slabs[k]
 		cl.Data = sl.data
-		cl.Pos = remapPositions(sl.pos, newPos)
+		cl.Pos = remapPositions(sl.pos, newPos, base)
+		base += len(sl.pos)
 		cl.MaxNorm = sl.maxNorm
 		cl.AxMin = sl.axMin
 		cl.AxMax = sl.axMax
@@ -156,12 +162,19 @@ func (ix *Index) canonicalPositions() []int {
 	return newPos
 }
 
-func remapPositions(pos, newPos []int) []int {
-	out := make([]int, len(pos))
+// remapPositions returns pos renumbered through newPos, or nil when the
+// result is the identity from base (row i holds position base+i).
+func remapPositions(pos, newPos []int, base int) []int {
 	for i, p := range pos {
-		out[i] = newPos[p]
+		if newPos[p] != base+i {
+			out := make([]int, len(pos))
+			for j, q := range pos {
+				out[j] = newPos[q]
+			}
+			return out
+		}
 	}
-	return out
+	return nil
 }
 
 // geometryAxisIndex recovers a bucket's geometry index from its shared
@@ -221,7 +234,10 @@ func FromColumnar(dim int, layers []ColumnarLayer, ids []uint64, opt Options) (*
 	withShells := layers[0].Shell != nil
 	for k := range layers {
 		l := &layers[k]
-		n := len(l.Pos)
+		n := len(l.Data) / dim
+		if l.Pos != nil {
+			n = len(l.Pos)
+		}
 		if n == 0 {
 			return nil, fmt.Errorf("core: columnar: layer %d is empty", k+1)
 		}
@@ -276,7 +292,7 @@ func FromColumnar(dim int, layers []ColumnarLayer, ids []uint64, opt Options) (*
 	base := 0
 	for k := range layers {
 		l := &layers[k]
-		n := len(l.Pos)
+		n := len(l.Data) / dim
 		for j, p := range l.Pos {
 			if p < base || p >= base+n {
 				return nil, fmt.Errorf("core: columnar: layer %d row %d position %d outside [%d, %d)", k+1, j, p, base, base+n)
@@ -287,12 +303,19 @@ func FromColumnar(dim int, layers []ColumnarLayer, ids []uint64, opt Options) (*
 			seen[p>>6] |= 1 << (p & 63)
 		}
 		ix.layers[k] = posArena[base : base+n : base+n]
+		// An identity layer's slab rows are the layer slice itself, as
+		// FromLayers shares them; nothing writes into either (mutators
+		// build fresh slices for the layers they re-peel).
+		pos := l.Pos
+		if pos == nil {
+			pos = ix.layers[k]
+		}
 		slabIDs := make([]uint64, n)
-		for j, p := range l.Pos {
+		for j, p := range pos {
 			slabIDs[j] = ids[p]
 		}
 		slabs[k] = layerSlab{
-			data: l.Data, ids: slabIDs, pos: l.Pos,
+			data: l.Data, ids: slabIDs, pos: pos,
 			maxNorm: l.MaxNorm, axMin: l.AxMin, axMax: l.AxMax,
 		}
 		if n > maxLayer {

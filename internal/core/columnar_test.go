@@ -230,16 +230,33 @@ func TestFromColumnarValidation(t *testing.T) {
 		t.Error("ids without layers accepted")
 	}
 
+	// A plain index exports every layer's positions as the identity.
+	for k := range cols {
+		if cols[k].Pos != nil {
+			t.Fatalf("layer %d of a plain index exported explicit positions", k+1)
+		}
+	}
+	// corrupt spells the identity positions out, so the position checks
+	// have something to corrupt, then applies mutate.
 	corrupt := func(mutate func(c []ColumnarLayer)) error {
 		cp := make([]ColumnarLayer, len(cols))
 		copy(cp, cols)
+		base := 0
 		for k := range cp {
-			cp[k].Pos = append([]int(nil), cols[k].Pos...)
+			n := len(cols[k].Data) / 3
+			cp[k].Pos = make([]int, n)
+			for j := range cp[k].Pos {
+				cp[k].Pos[j] = base + j
+			}
+			base += n
 			cp[k].Data = append([]float64(nil), cols[k].Data...)
 		}
 		mutate(cp)
 		_, err := FromColumnar(3, cp, ids, Options{})
 		return err
+	}
+	if err := corrupt(func([]ColumnarLayer) {}); err != nil {
+		t.Fatalf("explicit identity positions rejected: %v", err)
 	}
 	if err := corrupt(func(c []ColumnarLayer) { c[0].Pos[0] = c[0].Pos[1] }); err == nil {
 		t.Error("duplicate position accepted")

@@ -256,7 +256,6 @@ func (ix *Index) CloneDelta() *Index {
 		slabs:     ix.slabs,
 		maxLayer:  ix.maxLayer,
 		noPrune:   ix.noPrune,
-		noShells:  ix.noShells,
 		shellMode: ix.shellMode,
 		shellTabs: ix.shellTabs,
 		slabSrc:   ix.slabSrc,

@@ -27,12 +27,12 @@ func Empty(dim int, opt Options) (*Index, error) {
 }
 
 // FromLayers reconstructs an Index from an existing layer partition —
-// typically one read back from the paged flat-file format — without
-// re-running the convex-hull peeling. The caller asserts the layers
-// are (or were produced as) a valid layered convex hull; basic shape
-// invariants (consistent dimension, unique IDs, no empty layers) are
-// verified here, and VerifyOrdering offers a probabilistic check of the
-// geometric property itself.
+// such as one a format v1 file stores (storage's read-only migrator) —
+// without re-running the convex-hull peeling. The caller asserts the
+// layers are (or were produced as) a valid layered convex hull; basic
+// shape invariants (consistent dimension, unique IDs, no empty layers)
+// are verified here, and VerifyOrdering offers a probabilistic check of
+// the geometric property itself.
 func FromLayers(layers [][]Record, opt Options) (*Index, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("core: no layers")

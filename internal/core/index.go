@@ -95,8 +95,7 @@ type Index struct {
 	// the slabs of the layers it re-peels.
 	slabs    []layerSlab
 	maxLayer int  // size of the largest layer
-	noPrune  bool // disables bound-based layer pruning (benchmarks/ablation)
-	noShells bool // disables shell (intra-layer) pruning only
+	noPrune  bool // disables bound-based layer and shell pruning (PruneNothing)
 
 	// Spherical-shell tables (see shellslab.go): one per layer exactly
 	// when shellMode is on, kept alongside the slabs.
@@ -206,33 +205,30 @@ func Build(records []Record, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// PruningMode selects how much bound-based work-skipping the query path
-// performs. Every mode returns bit-identical results; they differ only
-// in the work statistics a query reports, which is why the
-// paper-faithful benchmarks pick the weaker modes. The zero value is
-// full pruning, so a fresh index defaults to the fastest sound path.
+// PruningMode selects whether the query path skips work by bounds.
+// Both modes return bit-identical results; they differ only in the work
+// statistics a query reports, which is why the paper-faithful
+// benchmarks pick PruneNothing. The zero value is full pruning, so a
+// fresh index defaults to the fastest sound path.
 type PruningMode int
 
 const (
 	// PruneAll enables layer pruning (tryPrune) and, when the index was
 	// built or configured with shell tables, spherical-shell intra-layer
-	// pruning too. The default.
+	// pruning too. The default. The shells' own contribution is measured
+	// by comparing an index with shell tables against one without
+	// (SetShellPruning), both under PruneAll.
 	PruneAll PruningMode = iota
-	// PruneLayersOnly keeps layer pruning but disables shell pruning —
-	// the ablation that isolates the shells' contribution.
-	PruneLayersOnly
 	// PruneNothing is the paper-faithful full evaluation: every record
 	// of every accessed layer is scored (the Table 1 accounting).
 	PruneNothing
 )
 
-// String names the mode (flag/JSON friendly: all, layers, none).
+// String names the mode (flag/JSON friendly: all, none).
 func (m PruningMode) String() string {
 	switch m {
 	case PruneAll:
 		return "all"
-	case PruneLayersOnly:
-		return "layers"
 	case PruneNothing:
 		return "none"
 	default:
@@ -245,12 +241,10 @@ func ParsePruningMode(s string) (PruningMode, error) {
 	switch s {
 	case "all", "":
 		return PruneAll, nil
-	case "layers":
-		return PruneLayersOnly, nil
 	case "none":
 		return PruneNothing, nil
 	default:
-		return 0, fmt.Errorf("core: unknown pruning mode %q (want all, layers, or none)", s)
+		return 0, fmt.Errorf("core: unknown pruning mode %q (want all or none)", s)
 	}
 }
 
@@ -258,28 +252,15 @@ func ParsePruningMode(s string) (PruningMode, error) {
 // path. Results are identical in every mode; shell pruning additionally
 // requires the shell tables to be present (Options.Shells or
 // SetShellPruning). Not safe to call concurrently with running queries.
-func (ix *Index) SetPruningMode(m PruningMode) {
-	switch m {
-	case PruneLayersOnly:
-		ix.noPrune, ix.noShells = false, true
-	case PruneNothing:
-		ix.noPrune, ix.noShells = true, true
-	default:
-		ix.noPrune, ix.noShells = false, false
-	}
-}
+func (ix *Index) SetPruningMode(m PruningMode) { ix.noPrune = m == PruneNothing }
 
 // PruningMode reports the current pruning mode (whether shell pruning
 // takes effect still depends on the shell tables being present).
 func (ix *Index) PruningMode() PruningMode {
-	switch {
-	case ix.noPrune:
+	if ix.noPrune {
 		return PruneNothing
-	case ix.noShells:
-		return PruneLayersOnly
-	default:
-		return PruneAll
 	}
+	return PruneAll
 }
 
 // SetShellPruning enables or disables the spherical-shell index mode at

@@ -218,7 +218,7 @@ func buildShellTable(sl *layerSlab, g *shellgeom.Geometry, dim int) shellTable {
 // which a partial evaluation cannot provide. Compaction folds the
 // tombstones away and restores the fast path.
 func (ix *Index) shellTab(k int) *shellTable {
-	if ix.shellTabs == nil || ix.noShells || ix.noPrune || ix.deadPosSet() != nil {
+	if ix.shellTabs == nil || ix.noPrune || ix.deadPosSet() != nil {
 		return nil
 	}
 	return &ix.shellTabs[k]

@@ -196,9 +196,10 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 // round-trips through its string form, every mode returns bit-identical
 // results, PruneNothing disables shell pruning too (a caller asking for
 // the paper-faithful full evaluation must not get partially-evaluated
-// layers), and SetShellPruning builds/drops the tables at runtime.
+// layers), and a clone with its shell tables dropped walks with layer
+// pruning only.
 func TestPruningModeSemantics(t *testing.T) {
-	for _, m := range []PruningMode{PruneAll, PruneLayersOnly, PruneNothing} {
+	for _, m := range []PruningMode{PruneAll, PruneNothing} {
 		got, err := ParsePruningMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParsePruningMode(%q) = %v, %v; want %v", m.String(), got, err, m)
@@ -207,8 +208,10 @@ func TestPruningModeSemantics(t *testing.T) {
 	if m, err := ParsePruningMode(""); err != nil || m != PruneAll {
 		t.Fatalf("empty mode = %v, %v; want the PruneAll default", m, err)
 	}
-	if _, err := ParsePruningMode("bogus"); err == nil {
-		t.Fatal("ParsePruningMode accepted garbage")
+	for _, bad := range []string{"bogus", "layers"} {
+		if _, err := ParsePruningMode(bad); err == nil {
+			t.Fatalf("ParsePruningMode accepted %q", bad)
+		}
 	}
 
 	pts := workload.Points(workload.Gaussian, 1200, 3, 17)
@@ -227,7 +230,7 @@ func TestPruningModeSemantics(t *testing.T) {
 		skipped int
 		pruned  int
 	}
-	run := func() probe {
+	run := func(ix *Index) probe {
 		var p probe
 		for _, w := range ws {
 			res, st, err := ix.TopN(w, 7)
@@ -241,25 +244,29 @@ func TestPruningModeSemantics(t *testing.T) {
 		return p
 	}
 
-	all := run()
+	all := run(ix)
 	if all.skipped == 0 {
 		t.Fatal("PruneAll on a shell index skipped nothing")
 	}
 
-	ix.SetPruningMode(PruneLayersOnly)
-	if ix.PruningMode() != PruneLayersOnly {
-		t.Fatalf("mode = %v after SetPruningMode(PruneLayersOnly)", ix.PruningMode())
+	plain := ix.Clone()
+	plain.SetShellPruning(false)
+	if plain.PruningMode() != PruneAll || !ix.ShellPruning() {
+		t.Fatalf("clone mode = %v, source shells = %v", plain.PruningMode(), ix.ShellPruning())
 	}
-	layers := run()
+	layers := run(plain)
 	if layers.skipped != 0 {
-		t.Fatalf("PruneLayersOnly still skipped %d records via shells", layers.skipped)
+		t.Fatalf("a clone without shell tables still skipped %d records via shells", layers.skipped)
 	}
 	for i := range ws {
 		resultsBitIdentical(t, fmt.Sprintf("layers-only q%d", i), layers.res[i], all.res[i])
 	}
 
 	ix.SetPruningMode(PruneNothing)
-	none := run()
+	if ix.PruningMode() != PruneNothing {
+		t.Fatalf("mode = %v after SetPruningMode(PruneNothing)", ix.PruningMode())
+	}
+	none := run(ix)
 	if none.skipped != 0 || none.pruned != 0 {
 		t.Fatalf("PruneNothing still pruned (skipped=%d, layers=%d)", none.skipped, none.pruned)
 	}
@@ -271,7 +278,7 @@ func TestPruningModeSemantics(t *testing.T) {
 	if ix.PruningMode() != PruneAll {
 		t.Fatalf("mode = %v after SetPruningMode(PruneAll)", ix.PruningMode())
 	}
-	if p := run(); p.skipped == 0 {
+	if p := run(ix); p.skipped == 0 {
 		t.Fatal("SetPruningMode(PruneAll) did not restore shell pruning")
 	}
 
@@ -280,7 +287,7 @@ func TestPruningModeSemantics(t *testing.T) {
 	if ix.ShellPruning() || ix.shellTabs != nil {
 		t.Fatal("SetShellPruning(false) left tables behind")
 	}
-	off := run()
+	off := run(ix)
 	for i := range ws {
 		resultsBitIdentical(t, fmt.Sprintf("shells-off q%d", i), off.res[i], all.res[i])
 	}
@@ -288,7 +295,7 @@ func TestPruningModeSemantics(t *testing.T) {
 	if !ix.ShellPruning() || ix.shellTabs == nil {
 		t.Fatal("SetShellPruning(true) did not rebuild the tables")
 	}
-	if p := run(); p.skipped == 0 {
+	if p := run(ix); p.skipped == 0 {
 		t.Fatal("rebuilt tables never skipped a record")
 	}
 }
@@ -464,8 +471,9 @@ func TestShellModeHalvesUniformEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evaluated := func(m PruningMode) int {
-		ix.SetPruningMode(m)
+	plainIx := ix.Clone()
+	plainIx.SetShellPruning(false)
+	evaluated := func(ix *Index) int {
 		total := 0
 		for _, w := range workload.QueryWeights(50, 2, 78) {
 			_, st, err := ix.TopN(w, 10)
@@ -476,7 +484,7 @@ func TestShellModeHalvesUniformEvaluations(t *testing.T) {
 		}
 		return total
 	}
-	plain, shelled := evaluated(PruneLayersOnly), evaluated(PruneAll)
+	plain, shelled := evaluated(plainIx), evaluated(ix)
 	if shelled >= plain*3/4 {
 		t.Errorf("shells evaluated %d records vs %d with layer pruning only; expected at most three quarters", shelled, plain)
 	}

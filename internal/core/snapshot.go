@@ -34,7 +34,6 @@ func (ix *Index) Clone() *Index {
 		slabs:    ix.slabs,
 		maxLayer: ix.maxLayer,
 		noPrune:  ix.noPrune,
-		noShells: ix.noShells,
 		// Shell tables are derived immutable state exactly like the
 		// slabs, and they share the slabs' lifecycle.
 		shellMode: ix.shellMode,

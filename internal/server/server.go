@@ -96,9 +96,9 @@ type Config struct {
 	// keep the tables current.
 	Shells bool
 	// Pruning selects the bound-based pruning mode of the query path
-	// (core.PruneAll, PruneLayersOnly, PruneNothing). The zero value is
-	// full pruning; the weaker modes exist for paper-faithful work
-	// measurements, never for correctness.
+	// (core.PruneAll or PruneNothing). The zero value is full pruning;
+	// PruneNothing exists for paper-faithful work measurements, never
+	// for correctness.
 	Pruning core.PruningMode
 }
 

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -19,7 +22,7 @@ func TestWriteSurvivesCrash(t *testing.T) {
 	if err := fs.MkdirAll("/data", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFS(fs, "/data/index.onion", ix); err != nil {
+	if err := WriteFS(fs, "/data/index.onion", ix, nil); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash()
@@ -28,27 +31,25 @@ func TestWriteSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("saved index gone after crash: %v", err)
 	}
-	di, err := NewDiskIndex(NewMemPager(data))
+	got, _, err := LoadBytes(data, core.Options{})
 	if err != nil {
 		t.Fatalf("saved index unreadable after crash: %v", err)
 	}
-	if di.Len() != ix.Len() || di.NumLayers() != ix.NumLayers() {
+	if got.Len() != ix.Len() || got.NumLayers() != ix.NumLayers() {
 		t.Fatalf("recovered %d records / %d layers, want %d / %d",
-			di.Len(), di.NumLayers(), ix.Len(), ix.NumLayers())
+			got.Len(), got.NumLayers(), ix.Len(), ix.NumLayers())
 	}
 	w := []float64{1, 1, 1}
 	want, _, err := ix.TopN(w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := di.TopN(w, 10)
+	res, _, err := got.TopN(w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("rank %d: recovered %+v, want %+v", i, got[i], want[i])
-		}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("recovered %v, want %v", res, want)
 	}
 
 	// Negative control: the same write WITHOUT the sync discipline loses
@@ -58,7 +59,7 @@ func TestWriteSurvivesCrash(t *testing.T) {
 	if err := fs2.MkdirAll("/data", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data2, err := Marshal(ix)
+	data2, err := MarshalV2(ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,46 +78,108 @@ func TestWriteSurvivesCrash(t *testing.T) {
 }
 
 // TestDiskIndexMatchesMemoryProperty is the storage round-trip property
-// test: across random dimensions and sizes, Marshal → DiskIndex must
-// answer top-N queries identically to the in-memory index it came from
-// — same IDs, same scores, same order.
+// test. In 2D–5D, with shells on and off, and with a delta pending at
+// the write or none, a written file must answer top-N queries through
+// the heap decode and through the mapping exactly as the in-memory
+// index it came from: the same IDs and score bits in the same order,
+// and — against the folded state the file holds — the same layers and
+// work statistics. Maintenance on the decoded index must then still
+// match brute force.
 func TestDiskIndexMatchesMemoryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 12; trial++ {
-		d := 2 + rng.Intn(5) // 2..6
-		n := 1 + rng.Intn(400)
-		seed := rng.Int63()
-		ix := buildIndex(t, n, d, seed)
-		data, err := Marshal(ix)
-		if err != nil {
-			t.Fatalf("trial %d (n=%d d=%d): %v", trial, n, d, err)
-		}
-		di, err := NewDiskIndex(NewMemPager(data))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for q := 0; q < 5; q++ {
-			w := make([]float64, d)
-			for j := range w {
-				w[j] = rng.NormFloat64()
-			}
-			topn := 1 + rng.Intn(n+3) // sometimes > n records
-			want, _, err := ix.TopN(w, topn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, _, err := di.TopN(w, topn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d (n=%d d=%d) query %d: %d results from disk, %d from memory",
-					trial, n, d, q, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-					t.Fatalf("trial %d query %d rank %d: disk %+v, memory %+v",
-						trial, q, i, got[i], want[i])
+	for d := 2; d <= 5; d++ {
+		for _, shells := range []bool{false, true} {
+			for _, delta := range []bool{false, true} {
+				name := fmt.Sprintf("d=%d shells=%v delta=%v", d, shells, delta)
+				n := 1 + rng.Intn(400)
+				seed := rng.Int63()
+				ix := buildIndex(t, n, d, seed)
+				ix.SetShellPruning(shells)
+				folded := ix
+				if delta {
+					ix = ix.CloneDelta()
+					add := workload.Points(workload.Gaussian, 1+rng.Intn(20), d, seed+1)
+					recs := make([]core.Record, len(add))
+					for i, p := range add {
+						recs[i] = core.Record{ID: uint64(n + 1 + i), Vector: p}
+					}
+					if err := ix.InsertDelta(recs); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ix.DeleteDelta([]uint64{1, uint64(n/2 + 1)}, true); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if folded, err = ix.CompactedClone(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				path := writeFile(t, ix, nil)
+				loaded, err := Load(path)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				mp, err := OpenMappedV2(path, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				mapped, err := mp.Index(core.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if loaded.ShellPruning() != shells || mapped.ShellPruning() != shells {
+					t.Fatalf("%s: shell mode came back %v (load) %v (mmap)", name, loaded.ShellPruning(), mapped.ShellPruning())
+				}
+				for q := 0; q < 5; q++ {
+					w := make([]float64, d)
+					for j := range w {
+						w[j] = rng.NormFloat64()
+					}
+					topn := 1 + rng.Intn(n+3) // sometimes > n records
+					want, _, err := ix.TopN(w, topn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRes, wantStats, err := folded.TopN(w, topn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for path, got := range map[string]*core.Index{"load": loaded, "mmap": mapped} {
+						res, st, err := got.TopN(w, topn)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(res) != len(want) {
+							t.Fatalf("%s query %d via %s: %d results, %d in memory", name, q, path, len(res), len(want))
+						}
+						for i := range want {
+							if res[i].ID != want[i].ID || math.Float64bits(res[i].Score) != math.Float64bits(want[i].Score) {
+								t.Fatalf("%s query %d via %s rank %d: %+v, in memory %+v", name, q, path, i, res[i], want[i])
+							}
+						}
+						if !reflect.DeepEqual(res, wantRes) || st != wantStats {
+							t.Fatalf("%s query %d via %s: stats %+v, folded index %+v", name, q, path, st, wantStats)
+						}
+					}
+				}
+				mp.Close()
+
+				// The decoded index is mutable: its layers and slabs share
+				// positions, and maintenance must not disturb either.
+				recs := loaded.Records()
+				if len(recs) > 2 {
+					if err := loaded.DeleteBatch([]uint64{recs[0].ID, recs[len(recs)/2].ID}); err != nil {
+						t.Fatalf("%s: delete after load: %v", name, err)
+					}
+				}
+				add := workload.Points(workload.Uniform, 3, d, seed+2)
+				for i, p := range add {
+					if err := loaded.Insert(core.Record{ID: uint64(10_000 + i), Vector: p}); err != nil {
+						t.Fatalf("%s: insert after load: %v", name, err)
+					}
+				}
+				for _, w := range workload.QueryWeights(3, d, seed+3) {
+					assertMatchesBrute(t, name+" after maintenance", loaded, w, 15)
 				}
 			}
 		}
@@ -127,19 +190,32 @@ func TestDiskIndexMatchesMemoryProperty(t *testing.T) {
 // a single record, a single layer, and the zero-layer empty index a
 // delete-all leaves behind.
 func TestDiskIndexEdgeCases(t *testing.T) {
+	roundTrip := func(t *testing.T, ix *core.Index) (*core.Index, *core.Index) {
+		t.Helper()
+		path := writeFile(t, ix, nil)
+		loaded, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := OpenMappedV2(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mp.Close() })
+		mapped, err := mp.Index(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded, mapped
+	}
+
 	t.Run("single record", func(t *testing.T) {
-		ix := buildIndex(t, 1, 3, 7)
-		data, err := Marshal(ix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		di, err := NewDiskIndex(NewMemPager(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, _, err := di.TopN([]float64{1, 2, 3}, 5)
-		if err != nil || len(got) != 1 || got[0].ID != 1 {
-			t.Fatalf("single-record query: %+v, %v", got, err)
+		loaded, mapped := roundTrip(t, buildIndex(t, 1, 3, 7))
+		for _, got := range []*core.Index{loaded, mapped} {
+			res, _, err := got.TopN([]float64{1, 2, 3}, 5)
+			if err != nil || len(res) != 1 || res[0].ID != 1 {
+				t.Fatalf("single-record query: %+v, %v", res, err)
+			}
 		}
 	})
 
@@ -157,23 +233,13 @@ func TestDiskIndexEdgeCases(t *testing.T) {
 		if ix.NumLayers() != 1 {
 			t.Fatalf("expected 1 layer, got %d", ix.NumLayers())
 		}
-		data, err := Marshal(ix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		di, err := NewDiskIndex(NewMemPager(data))
-		if err != nil {
-			t.Fatal(err)
-		}
+		loaded, mapped := roundTrip(t, ix)
 		w := []float64{1, -1, 0.5}
 		want, _, _ := ix.TopN(w, 4)
-		got, _, _, err := di.TopN(w, 4)
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("single-layer query: %v, %v", got, err)
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("rank %d: %+v vs %+v", i, got[i], want[i])
+		for _, got := range []*core.Index{loaded, mapped} {
+			res, _, err := got.TopN(w, 4)
+			if err != nil || !reflect.DeepEqual(res, want) {
+				t.Fatalf("single-layer query: %v, %v; want %v", res, err, want)
 			}
 		}
 	})
@@ -187,20 +253,21 @@ func TestDiskIndexEdgeCases(t *testing.T) {
 		if err := ix.DeleteBatch(ids); err != nil {
 			t.Fatal(err)
 		}
-		data, err := Marshal(ix)
-		if err != nil {
-			t.Fatal(err)
+		loaded, mapped := roundTrip(t, ix)
+		for _, got := range []*core.Index{loaded, mapped} {
+			if got.Len() != 0 || got.NumLayers() != 0 || got.Dim() != 2 {
+				t.Fatalf("empty index round trip: len=%d layers=%d dim=%d", got.Len(), got.NumLayers(), got.Dim())
+			}
+			res, _, err := got.TopN([]float64{1, 1}, 3)
+			if err != nil || len(res) != 0 {
+				t.Fatalf("query on empty index: %v, %v", res, err)
+			}
 		}
-		di, err := NewDiskIndex(NewMemPager(data))
-		if err != nil {
-			t.Fatal(err)
+		if err := loaded.Insert(core.Record{ID: 7, Vector: []float64{1, 2}}); err != nil {
+			t.Fatalf("insert into the reloaded empty index: %v", err)
 		}
-		if di.Len() != 0 || di.NumLayers() != 0 || di.Dim() != 2 {
-			t.Fatalf("empty index round trip: len=%d layers=%d dim=%d", di.Len(), di.NumLayers(), di.Dim())
-		}
-		got, _, _, err := di.TopN([]float64{1, 1}, 3)
-		if err != nil || len(got) != 0 {
-			t.Fatalf("query on empty index: %v, %v", got, err)
+		if res, _, err := loaded.TopN([]float64{1, 1}, 3); err != nil || len(res) != 1 || res[0].ID != 7 {
+			t.Fatalf("query after insert: %v, %v", res, err)
 		}
 	})
 }

@@ -1,157 +1,106 @@
-// Package storage lays an Onion index out on disk exactly the way the
-// paper describes (Section 3.1): the records of each layer are stored in
-// consecutive pages of a flat file, outermost layer first, and the only
-// metadata kept is the page extent of every layer. Reading layer k
-// therefore costs one random access (the seek to its first page) plus a
-// run of sequential page reads — the access pattern Section 5's I/O
-// evaluation assumes, which this package measures rather than estimates.
+// Package storage persists an Onion index the way the paper lays it out
+// (Section 3.1): each layer in consecutive pages of a flat file,
+// outermost layer first, so reading layer k costs one random access
+// (the seek to its first page) plus a run of sequential page reads —
+// the access pattern Section 5's I/O evaluation assumes and Eq. 2
+// prices.
 //
-// Record layout inside a page is [id uint64][attr float64 × d], i.e.
-// 8*(d+1) bytes: 32 bytes for a 3-attribute record and 40 bytes for a
-// 4-attribute one, matching the paper's accounting. Records never span
-// pages; each page holds ⌊4096/recSize⌋ records.
+// Every file this package writes is checkpoint format v2 (formatv2.go):
+// a CRC'd directory, then one page-aligned extent per layer holding its
+// vectors (8·d bytes per record), then the record IDs and an opaque aux
+// blob. The same bytes are decoded onto the heap (Load, LoadV2Bytes) or
+// served in place from a memory mapping (MappedV2). Format v1, which
+// packed [id][vector] rows into pages, is only read: decodeV1 (v1.go)
+// migrates it to a heap index, and the next write stores it as v2.
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-
-	"repro/internal/core"
 )
 
 // PageSize is the disk page size assumed throughout the paper (4 KB).
 const PageSize = 4096
 
-// Magic identifies the file format; the trailing byte is a version.
-var Magic = [8]byte{'O', 'N', 'I', 'O', 'N', 'I', 'X', 1}
-
-// Extent records where a layer lives in the file.
-type Extent struct {
-	StartPage uint32 // first page of the layer
-	Pages     uint32 // number of consecutive pages
-	Records   uint32 // number of records in the layer
-}
-
-// Header is the per-file metadata: everything the query processor needs
-// to locate layers. It is tiny — the paper's "almost no overhead" claim —
-// and occupies the first page(s) of the file.
-type Header struct {
-	Dim     uint32
-	Layers  []Extent
-	Records uint64
-}
-
-// RecordSize returns the on-disk size of one record of dimension d.
+// RecordSize returns the paper's size of one record of dimension d:
+// [id uint64][attr float64 × d], 8*(d+1) bytes — 32 bytes for a
+// 3-attribute record and 40 bytes for a 4-attribute one. Eq. 2 and the
+// scan baseline are priced in these records; format v1 stored them.
 func RecordSize(d int) int { return 8 * (d + 1) }
 
-// RecordsPerPage returns how many records of dimension d fit in a page.
+// RecordsPerPage returns how many records of dimension d fit in a page
+// when records never span pages.
 func RecordsPerPage(d int) int { return PageSize / RecordSize(d) }
 
-// headerBytes returns the header's serialized size.
-func headerBytes(layers int) int {
-	return 8 /*magic*/ + 4 /*dim*/ + 8 /*records*/ + 4 /*layer count*/ + layers*12
-}
+// Magic identifies a format v1 file; MagicV2 shares its first seven
+// bytes, and the eighth is the version.
+var Magic = [8]byte{'O', 'N', 'I', 'O', 'N', 'I', 'X', 1}
 
-// HeaderPages returns how many pages the header occupies.
-func HeaderPages(layers int) int {
-	return (headerBytes(layers) + PageSize - 1) / PageSize
-}
+// MagicV2 identifies a v2 file: same prefix as v1, version byte 2.
+var MagicV2 = [8]byte{'O', 'N', 'I', 'O', 'N', 'I', 'X', 2}
 
 var (
 	// ErrBadMagic marks a file that is not an Onion index.
 	ErrBadMagic = errors.New("storage: bad magic (not an onion index file)")
 	// ErrCorrupt marks structurally invalid headers or pages.
 	ErrCorrupt = errors.New("storage: corrupt index file")
+	// ErrBadVersion marks an Onion index file of a different format
+	// version than the caller asked for (e.g. a v1 file opened through
+	// the v2 mmap path). Distinguished from ErrBadMagic so
+	// version-sniffing loaders can fall back instead of declaring
+	// corruption.
+	ErrBadVersion = errors.New("storage: unexpected index format version")
 )
 
-// marshalHeader encodes h into a fresh page-aligned buffer.
-func marshalHeader(h *Header) []byte {
-	buf := make([]byte, HeaderPages(len(h.Layers))*PageSize)
-	copy(buf, Magic[:])
-	binary.LittleEndian.PutUint32(buf[8:], h.Dim)
-	binary.LittleEndian.PutUint64(buf[12:], h.Records)
-	binary.LittleEndian.PutUint32(buf[20:], uint32(len(h.Layers)))
-	off := 24
-	for _, e := range h.Layers {
-		binary.LittleEndian.PutUint32(buf[off:], e.StartPage)
-		binary.LittleEndian.PutUint32(buf[off+4:], e.Pages)
-		binary.LittleEndian.PutUint32(buf[off+8:], e.Records)
-		off += 12
+// FormatVersion sniffs the format version of an index file's first
+// bytes: 1 or 2, or ErrBadMagic when the prefix is not an Onion index.
+func FormatVersion(buf []byte) (int, error) {
+	if len(buf) < 8 {
+		return 0, ErrBadMagic
 	}
-	return buf
+	for i := 0; i < 7; i++ {
+		if buf[i] != Magic[i] {
+			return 0, ErrBadMagic
+		}
+	}
+	v := int(buf[7])
+	if v != 1 && v != 2 {
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	}
+	return v, nil
 }
 
-// unmarshalHeader decodes a header from the start of buf.
-func unmarshalHeader(buf []byte) (*Header, error) {
-	if len(buf) < 24 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	for i, b := range Magic {
-		if buf[i] != b {
-			return nil, ErrBadMagic
-		}
-	}
-	h := &Header{
-		Dim:     binary.LittleEndian.Uint32(buf[8:]),
-		Records: binary.LittleEndian.Uint64(buf[12:]),
-	}
-	n := binary.LittleEndian.Uint32(buf[20:])
-	if h.Dim == 0 || h.Dim > 1024 {
-		return nil, fmt.Errorf("%w: dimension %d", ErrCorrupt, h.Dim)
-	}
-	need := 24 + int(n)*12
-	if len(buf) < need {
-		return nil, fmt.Errorf("%w: truncated layer table", ErrCorrupt)
-	}
-	h.Layers = make([]Extent, n)
-	off := 24
-	for i := range h.Layers {
-		h.Layers[i] = Extent{
-			StartPage: binary.LittleEndian.Uint32(buf[off:]),
-			Pages:     binary.LittleEndian.Uint32(buf[off+4:]),
-			Records:   binary.LittleEndian.Uint32(buf[off+8:]),
-		}
-		off += 12
-	}
-	return h, nil
+// IOStats counts physical access operations the way the paper's cost
+// model does: a random access is a seek to a non-consecutive page; every
+// page transferred counts as one sequential access.
+type IOStats struct {
+	RandomAccesses  int // disk seeks (one per layer entered)
+	SequentialReads int // pages transferred
 }
 
-// encodeRecords packs records into page-aligned bytes (records never
-// straddle a page boundary; the page tail is zero padding).
-func encodeRecords(recs []core.Record, d int) []byte {
-	perPage := RecordsPerPage(d)
-	pages := (len(recs) + perPage - 1) / perPage
-	buf := make([]byte, pages*PageSize)
-	for i, r := range recs {
-		page, slot := i/perPage, i%perPage
-		off := page*PageSize + slot*RecordSize(d)
-		binary.LittleEndian.PutUint64(buf[off:], r.ID)
-		for j, v := range r.Vector {
-			binary.LittleEndian.PutUint64(buf[off+8+8*j:], math.Float64bits(v))
-		}
-	}
-	return buf
+// Cost applies the paper's Eq. 2 weighting: one random access costs
+// `randomWeight` sequential page reads (the paper conservatively uses 8).
+func (s IOStats) Cost(randomWeight float64) float64 {
+	return randomWeight*float64(s.RandomAccesses) + float64(s.SequentialReads)
 }
 
-// decodeRecords unpacks count records of dimension d from page data.
-func decodeRecords(buf []byte, count, d int) ([]core.Record, error) {
-	perPage := RecordsPerPage(d)
-	need := (count + perPage - 1) / perPage * PageSize
-	if len(buf) < need {
-		return nil, fmt.Errorf("%w: layer data truncated (%d < %d bytes)", ErrCorrupt, len(buf), need)
-	}
-	recs := make([]core.Record, count)
-	vecs := make([]float64, count*d)
-	for i := range recs {
-		page, slot := i/perPage, i%perPage
-		off := page*PageSize + slot*RecordSize(d)
-		v := vecs[i*d : (i+1)*d : (i+1)*d]
-		for j := range v {
-			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8+8*j:]))
-		}
-		recs[i] = core.Record{ID: binary.LittleEndian.Uint64(buf[off:]), Vector: v}
-	}
-	return recs, nil
+// DefaultRandomWeight is the paper's random:sequential cost ratio.
+const DefaultRandomWeight = 8
+
+// ScanCost returns the paper's baseline: a full sequential scan of the
+// same records reads ceil(n/recordsPerPage) pages with no seek charged
+// (the paper's assumption that favors the scan; 8,000 pages for the 3D
+// million-record set, 10,000 for 4D).
+func ScanCost(records, dim int) float64 {
+	perPage := RecordsPerPage(dim)
+	return float64((records + perPage - 1) / perPage)
+}
+
+// EstimateCost is Eq. 2 of the paper: the analytic I/O cost of a query
+// that accessed the given number of layers and evaluated the given
+// number of records, without materializing a file.
+func EstimateCost(layersAccessed, recordsEvaluated, dim int) float64 {
+	recBytes := RecordSize(dim)
+	pages := float64(recordsEvaluated*recBytes) / PageSize
+	return DefaultRandomWeight*float64(layersAccessed) + pages
 }

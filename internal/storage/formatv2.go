@@ -2,33 +2,34 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/vfs"
 )
 
-// Checkpoint format v2 — the columnar, mmap-servable layout.
-//
-// Format v1 (format.go) persists records the way the paper's Section 3.1
-// describes them: interleaved [id][vector] rows packed into pages, which
-// a restart must fully decode into the heap before serving. Format v2
-// instead persists exactly the derived columnar state queries execute
-// over, page-aligned so a serving process can map the file and adopt the
-// extents in place (core.FromColumnar):
+// Format v2 — the columnar, mmap-servable layout, and the only one
+// this package writes. It persists exactly the derived columnar state
+// queries execute over, page-aligned so a serving process can map the
+// file and adopt the extents in place (core.FromColumnar):
 //
 //	page 0..dirPages-1   directory: header + per-layer metadata
 //	                     (counts, extent locations, pruning bounds,
 //	                     shell tables), CRC-protected
 //	per layer k          data extent: count_k×dim float64, row-major,
 //	                     slab row order (bucket-ordered in shell mode)
-//	                     pos extent:  count_k int64 canonical positions
+//	                     pos extent:  count_k int64 canonical positions,
+//	                     only when the rows are not in canonical order
 //	ids extent           records uint64, canonical position order
 //	aux extent           opaque blob (the WAL layer stores the
 //	                     hierarchical-compaction spec here), CRC-protected
+//
+// A layer's directory entry names its pos extent's first page, and 0
+// means it has none: its canonical positions are the identity (row j is
+// the layer's j-th position), which is every layer outside shell mode.
+// Page 0 always holds the directory, so 0 can never be a real extent.
+// Files from before this rule store every pos extent and still load.
 //
 // Every number is little-endian; floats are exact IEEE bits, so a v2
 // round trip is bit-identical. Layer extents start on page boundaries —
@@ -36,37 +37,10 @@ import (
 // paper's Eq. 2 cost model (one random access per layer, sequential
 // pages within it).
 //
-// Crash safety is the atomic-replace discipline of WriteFS, shared with
-// v1; the directory and aux CRCs are recovery hygiene on top (a file
-// that does appear under the real name but fails its CRC is reported
-// ErrCorrupt and recovery falls back to the previous epoch).
-
-// MagicV2 identifies a v2 file: same prefix as v1, version byte 2.
-var MagicV2 = [8]byte{'O', 'N', 'I', 'O', 'N', 'I', 'X', 2}
-
-// ErrBadVersion marks an Onion index file of a different format version
-// than the caller asked for (e.g. opening a v1 checkpoint through the
-// v2 mmap path). Distinguished from ErrBadMagic so version-sniffing
-// loaders can fall back instead of declaring corruption.
-var ErrBadVersion = errors.New("storage: unexpected index format version")
-
-// FormatVersion sniffs the format version of an index file's first
-// bytes: 1 or 2, or ErrBadMagic when the prefix is not an Onion index.
-func FormatVersion(buf []byte) (int, error) {
-	if len(buf) < 8 {
-		return 0, ErrBadMagic
-	}
-	for i := 0; i < 7; i++ {
-		if buf[i] != Magic[i] {
-			return 0, ErrBadMagic
-		}
-	}
-	v := int(buf[7])
-	if v != 1 && v != 2 {
-		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	return v, nil
-}
+// Crash safety is the atomic-replace discipline of WriteFS; the
+// directory and aux CRCs are recovery hygiene on top (a file that does
+// appear under the real name but fails its CRC is reported ErrCorrupt
+// and recovery falls back to the previous epoch).
 
 // v2 fixed directory header layout (offsets in bytes).
 const (
@@ -99,12 +73,20 @@ func v2EntryBytes(dim int, shell *core.ShellTableExport) int {
 }
 
 // MarshalV2 serializes the index's columnar state (plus an opaque aux
-// blob) into the page-aligned v2 layout. The delta buffer must be empty
-// (fold it first; see core.ExportColumnar).
+// blob) into the page-aligned v2 layout. The format stores layers only,
+// so a pending delta buffer is folded into a private copy first; the
+// receiver is untouched.
 func MarshalV2(ix *core.Index, aux []byte) ([]byte, error) {
 	d := ix.Dim()
 	if d <= 0 || d > 1024 {
 		return nil, fmt.Errorf("storage: cannot marshal %d-dimensional index", d)
+	}
+	if ix.HasDelta() {
+		folded, err := ix.CompactedClone()
+		if err != nil {
+			return nil, fmt.Errorf("storage: fold pending delta: %w", err)
+		}
+		ix = folded
 	}
 	cols, err := ix.ExportColumnar()
 	if err != nil {
@@ -119,15 +101,18 @@ func MarshalV2(ix *core.Index, aux []byte) ([]byte, error) {
 	}
 	dirPages := pagesFor(dirBytes)
 
-	// Plan the extents: per layer data then pos, then ids, then aux.
+	// Plan the extents: per layer data then pos (none for identity
+	// positions, which keep pos page 0), then ids, then aux.
 	page := dirPages
 	dataPage := make([]int, len(cols))
 	posPage := make([]int, len(cols))
 	for k := range cols {
 		dataPage[k] = page
 		page += pagesFor(len(cols[k].Data) * 8)
-		posPage[k] = page
-		page += pagesFor(len(cols[k].Pos) * 8)
+		if cols[k].Pos != nil {
+			posPage[k] = page
+			page += pagesFor(len(cols[k].Pos) * 8)
+		}
 	}
 	idsPage := page
 	page += pagesFor(len(ids) * 8)
@@ -160,7 +145,7 @@ func MarshalV2(ix *core.Index, aux []byte) ([]byte, error) {
 	}
 	for k := range cols {
 		cl := &cols[k]
-		le.PutUint64(buf[off:], uint64(len(cl.Pos)))
+		le.PutUint64(buf[off:], uint64(len(cl.Data)/d))
 		off += 8
 		putU32(uint32(dataPage[k]))
 		putU32(uint32(posPage[k]))
@@ -218,31 +203,22 @@ func MarshalV2(ix *core.Index, aux []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteV2FS writes a v2 checkpoint with the same atomic-replace
-// discipline as WriteFS: write temp → fsync → rename → fsync directory.
-func WriteV2FS(fsys vfs.FS, path string, ix *core.Index, aux []byte) error {
-	data, err := MarshalV2(ix, aux)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(fsys, path, data)
-}
-
 // v2Layer is one parsed directory entry with extents resolved to byte
 // ranges of the file.
 type v2Layer struct {
 	count            int
 	dataOff, dataLen int // byte range of the vector extent
-	posOff, posLen   int // byte range of the position extent
+	posOff, posLen   int // byte range of the position extent; 0, 0 = identity
 	maxNorm          float64
 	axMin, axMax     []float64
 	shell            *core.ShellTableExport
 }
 
-// extentBytes is the layer's page-aligned footprint — the unit the
-// resident-bytes budget accounts.
-func (l *v2Layer) extentBytes() int {
-	return pagesFor(l.dataLen)*PageSize + pagesFor(l.posLen)*PageSize
+// pages is the layer's page-aligned extent footprint: the sequential
+// reads one access to it costs, and the unit the resident-bytes budget
+// accounts.
+func (l *v2Layer) pages() int {
+	return pagesFor(l.dataLen) + pagesFor(l.posLen)
 }
 
 // v2Dir is a fully parsed v2 directory.
@@ -348,12 +324,14 @@ func parseV2(buf []byte) (*v2Dir, error) {
 		dataPage := getU32()
 		posPage := getU32()
 		l.dataLen = count * dir.dim * 8
-		l.posLen = count * 8
 		if l.dataOff, err = checkExtent(dataPage, l.dataLen); err != nil {
 			return nil, err
 		}
-		if l.posOff, err = checkExtent(posPage, l.posLen); err != nil {
-			return nil, err
+		if posPage != 0 {
+			l.posLen = count * 8
+			if l.posOff, err = checkExtent(posPage, l.posLen); err != nil {
+				return nil, err
+			}
 		}
 		l.maxNorm = getF()
 		l.axMin = getFs(dir.dim)
@@ -427,6 +405,9 @@ func columnarFromV2(buf []byte, dir *v2Dir, zeroCopy bool) ([]core.ColumnarLayer
 			cl.Data = data
 		} else {
 			cl.Data = decodeFloat64s(buf[l.dataOff:], n)
+		}
+		if l.posLen == 0 {
+			continue // identity positions: core.FromColumnar's nil Pos
 		}
 		if pos, ok := intsView(buf[l.posOff:l.posOff+l.posLen], l.count); ok && zeroCopy {
 			cl.Pos = pos

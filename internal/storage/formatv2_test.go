@@ -189,11 +189,7 @@ func TestV2CorruptionDetection(t *testing.T) {
 	if err := load(bad); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("unknown version byte: got %v, want ErrBadVersion", err)
 	}
-	v1, err := Marshal(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := load(v1); !errors.Is(err, ErrBadVersion) {
+	if err := load(readFixture(t, "v1-3d.onion")); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("v1 file through the v2 loader: got %v, want ErrBadVersion", err)
 	}
 	bad = append([]byte(nil), buf...)
@@ -213,6 +209,64 @@ func TestV2CorruptionDetection(t *testing.T) {
 	if err := load(bad); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("flipped aux byte: got %v, want ErrCorrupt", err)
 	}
+}
+
+// TestV2PositionExtents pins when a layer stores its positions: only a
+// shell-mode layer, whose bucket order differs from the canonical one,
+// carries a pos extent; and a file written before that rule, with a
+// pos extent for every layer, still loads and maps.
+func TestV2PositionExtents(t *testing.T) {
+	ix := buildShellIndex(t, 600, 3, 11)
+	buf, err := MarshalV2(ix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := parseV2(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPos := 0
+	for k := range dir.layers {
+		if dir.layers[k].posLen > 0 {
+			withPos++
+		}
+	}
+	if withPos == 0 {
+		t.Fatal("no shell-mode layer stored its bucket order")
+	}
+
+	// testdata/v2-posextents-3d.onion: 12 workload.Gaussian 3D points
+	// (seed 11, IDs from 1), built plain and written with every pos
+	// extent stored.
+	old := readFixture(t, "v2-posextents-3d.onion")
+	dir, err = parseV2(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range dir.layers {
+		if dir.layers[k].posLen == 0 {
+			t.Fatalf("fixture layer %d has no pos extent; it no longer tests the old layout", k+1)
+		}
+	}
+	got, _, err := LoadV2Bytes(old, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ContentFingerprint() != "2395c7f6f5b3b00a" || got.Fingerprint() != "ac38bbb5e1f28467" {
+		t.Fatalf("old-layout file: content %s layering %s", got.ContentFingerprint(), got.Fingerprint())
+	}
+	again, err := MarshalV2(got, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) >= len(old) {
+		t.Fatalf("rewriting dropped no pos extent: %d bytes, was %d", len(again), len(old))
+	}
+	rewritten, _, err := LoadV2Bytes(again, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, got, rewritten, 3, 5)
 }
 
 // layerCounter observes the walk's BeginLayer notifications — the

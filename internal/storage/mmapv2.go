@@ -3,6 +3,8 @@ package storage
 import (
 	"expvar"
 	"fmt"
+	"io/fs"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -50,7 +52,13 @@ type MappedV2 struct {
 	extentsMapped  atomic.Int64 // gauge: currently resident layer extents
 	majorFaultsEst atomic.Int64 // estimated pages faulted in (first touch + refaults)
 	extentsTouched atomic.Int64 // BeginLayer calls (actual extent accesses)
+	pagesTouched   atomic.Int64 // extent pages of the layers BeginLayer entered
 	evictions      atomic.Int64
+
+	// dead, once set, is returned by every Guard call: Close sets it,
+	// and so does the first memory fault Guard recovers, quarantining a
+	// mapping whose file was truncated or replaced.
+	dead atomic.Pointer[error]
 }
 
 // OpenMappedV2 maps path on the production filesystem.
@@ -124,16 +132,17 @@ func (m *MappedV2) BeginLayer(k int) {
 	if k < 0 || k >= len(m.resident) {
 		return
 	}
+	pages := int64(m.dir.layers[k].pages())
+	m.pagesTouched.Add(pages)
 	m.mu.Lock()
 	m.clock++
 	m.lastUse[k] = m.clock
 	if !m.resident[k] {
 		m.adviseLayer(k, vfs.AdviceSequential)
 		m.resident[k] = true
-		bytes := int64(m.dir.layers[k].extentBytes())
-		m.residentBytes.Add(bytes)
+		m.residentBytes.Add(pages * PageSize)
 		m.extentsMapped.Add(1)
-		m.majorFaultsEst.Add(bytes / PageSize)
+		m.majorFaultsEst.Add(pages)
 		if m.budget > 0 {
 			m.evictOverBudget(k)
 		}
@@ -170,7 +179,7 @@ func (m *MappedV2) evictOverBudget(keep int) {
 		}
 		m.adviseLayer(victim, vfs.AdviceDontNeed)
 		m.resident[victim] = false
-		m.residentBytes.Add(-int64(m.dir.layers[victim].extentBytes()))
+		m.residentBytes.Add(-int64(m.dir.layers[victim].pages()) * PageSize)
 		m.extentsMapped.Add(-1)
 		m.evictions.Add(1)
 	}
@@ -179,6 +188,17 @@ func (m *MappedV2) evictOverBudget(keep int) {
 // ExtentsTouched returns the cumulative BeginLayer count — the "actual
 // extents touched" side of the Eq. 2 predicted-vs-actual comparison.
 func (m *MappedV2) ExtentsTouched() int64 { return m.extentsTouched.Load() }
+
+// IO returns the walks' cumulative I/O in the paper's units: one random
+// access per layer entered (BeginLayer) plus that layer's extent pages
+// as sequential reads. Whether the pages were already resident is not
+// the question: this is the access pattern, the quantity Eq. 2 prices.
+func (m *MappedV2) IO() IOStats {
+	return IOStats{
+		RandomAccesses:  int(m.extentsTouched.Load()),
+		SequentialReads: int(m.pagesTouched.Load()),
+	}
+}
 
 // Evictions returns how many extents the budget forced out.
 func (m *MappedV2) Evictions() int64 { return m.evictions.Load() }
@@ -205,10 +225,43 @@ func (m *MappedV2) Vars() expvar.Var {
 	})
 }
 
+// Guard runs fn, which reads the mapping, on the calling goroutine with
+// memory faults turned into an error. A file truncated or replaced
+// under a live mapping makes the next read of a vanished page raise
+// SIGBUS, which would otherwise kill the process; Guard recovers it as
+// an error wrapping ErrCorrupt and quarantines the store, so every
+// later Guard returns that error without running fn. After Close,
+// Guard returns an error wrapping fs.ErrClosed. fn must not hand the
+// mapping to other goroutines: fault panics are per goroutine. Panics
+// other than memory faults propagate.
+func (m *MappedV2) Guard(fn func()) (err error) {
+	if dead := m.dead.Load(); dead != nil {
+		return *dead
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		err = fmt.Errorf("%w: memory fault at %#x reading the mapped file (truncated or replaced under the mapping?)", ErrCorrupt, fault.Addr())
+		m.dead.CompareAndSwap(nil, &err)
+	}()
+	fn()
+	return nil
+}
+
 // Close unmaps the file. Only safe once no index built from this store
-// (nor any clone) can run another query — their vector views alias the
-// mapping. Long-lived servers simply never call it (the mapping lives
-// until process exit); tests with bounded lifetimes do.
+// (nor any clone) can run another query outside Guard — their vector
+// views alias the mapping. Long-lived servers simply never call it (the
+// mapping lives until process exit); tests with bounded lifetimes and
+// onion.DiskIndex, whose queries all run under Guard, do.
 func (m *MappedV2) Close() error {
+	closed := fmt.Errorf("storage: mapped file: %w", fs.ErrClosed)
+	m.dead.CompareAndSwap(nil, &closed)
 	return m.mapping.Close()
 }

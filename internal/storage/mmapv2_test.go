@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 func writeMappedFixture(t *testing.T, ix *core.Index, aux []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "checkpoint-test.onion")
-	if err := WriteV2FS(vfs.OS{}, path, ix, aux); err != nil {
+	if err := WriteFS(vfs.OS{}, path, ix, aux); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -108,7 +109,7 @@ func TestMappedV2RejectsCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[v2HeaderBytes] ^= 0xff
-	if err := writeFileAtomic(vfs.OS{}, path, data); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenMappedV2(path, 0); err == nil {

@@ -75,22 +75,18 @@ type Config struct {
 	// the log grows past this size. 0 means 64 MB; negative disables
 	// automatic checkpoints (explicit Checkpoint calls still work).
 	CheckpointBytes int64
-	// Options is passed to core.FromLayers when a checkpoint is loaded,
-	// carrying the tolerance/seed/parallelism the recovered index should
-	// use for subsequent maintenance. Must match the options of the
-	// index whose mutations were logged, or replay determinism is lost.
+	// Options is passed to the checkpoint decoder when a checkpoint is
+	// loaded, carrying the tolerance/seed/parallelism the recovered
+	// index should use for subsequent maintenance. Must match the
+	// options of the index whose mutations were logged, or replay
+	// determinism is lost.
 	Options core.Options
-	// CheckpointV1 writes checkpoints in the legacy v1 paged format
-	// instead of the default v2 extent format. v1 checkpoints cannot be
-	// memory-mapped and drop the compactor aux blob; the option exists
-	// for format-migration tests and as a rollback lever. Reading is
-	// always version-sniffed, so either format recovers regardless.
-	CheckpointV1 bool
 	// Mmap serves the recovered checkpoint from a memory mapping
 	// (storage.MappedV2) instead of decoding it onto the heap: restart
 	// is open + map + WAL replay, with vector extents paged in on
-	// demand. A v1 checkpoint encountered under Mmap falls back to the
-	// decode path (and the next rotation migrates it to v2).
+	// demand. A format v1 checkpoint (written before v2 existed)
+	// encountered under Mmap falls back to the decode path, and the
+	// next rotation rewrites it as v2.
 	Mmap bool
 	// ResidentBudget caps the mapped checkpoint's accounted resident
 	// extent bytes (0 = unlimited). Only meaningful with Mmap.
@@ -104,7 +100,7 @@ const DefaultCheckpointBytes = 64 << 20
 // Manager pairs a write-ahead log with atomic full-index checkpoints in
 // one data directory:
 //
-//	checkpoint-<seq>.onion   paged flat-file snapshot (storage format)
+//	checkpoint-<seq>.onion   index snapshot (storage format v2)
 //	wal-<seq>.log            mutations applied since that checkpoint
 //
 // The protocol keeps exactly one epoch live. A checkpoint rotation
@@ -235,9 +231,9 @@ func sortedDesc(seqs []uint64) []uint64 {
 }
 
 // loadCheckpoint reads checkpoint seq into a mutable index, preserving
-// the stored layer partition. Both formats load: v2 via the columnar
-// path (mapped when Config.Mmap is set and the filesystem allows it,
-// decoded otherwise), v1 via the legacy record decode. Any error —
+// the stored layer partition. v2 loads via the columnar path (mapped
+// when Config.Mmap is set and the filesystem allows it, decoded
+// otherwise); a v1 file migrates through storage.LoadBytes. Any error —
 // corruption, bad aux, unmappable file — bubbles up so Open falls back
 // to the previous epoch, with one exception: a v1 file under Mmap is
 // not an error, it is a pre-migration checkpoint, and it loads through
@@ -269,41 +265,15 @@ func (m *Manager) loadCheckpoint(seq uint64) (*core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ver, err := storage.FormatVersion(data)
-	if err != nil {
-		return nil, fmt.Errorf("wal: checkpoint %d: %w", seq, err)
+	ix, aux, err := storage.LoadBytes(data, m.cfg.Options)
+	if err == nil {
+		err = m.attachAux(ix, aux)
 	}
-	if ver == 2 {
-		ix, aux, lerr := storage.LoadV2Bytes(data, m.cfg.Options)
-		if lerr == nil {
-			lerr = m.attachAux(ix, aux)
-		}
-		if lerr != nil {
-			return nil, fmt.Errorf("wal: checkpoint %d: %w", seq, lerr)
-		}
-		m.checkpointBytes.Store(int64(len(data)))
-		return ix, nil
-	}
-	if len(data)%storage.PageSize != 0 {
-		return nil, fmt.Errorf("wal: checkpoint %d: size %d not page aligned", seq, len(data))
-	}
-	di, err := storage.NewDiskIndex(storage.NewMemPager(data))
 	if err != nil {
 		return nil, fmt.Errorf("wal: checkpoint %d: %w", seq, err)
 	}
 	m.checkpointBytes.Store(int64(len(data)))
-	if di.NumLayers() == 0 {
-		// A checkpoint of an index whose records were all deleted: valid
-		// state, zero layers.
-		return core.Empty(di.Dim(), m.cfg.Options)
-	}
-	layers := make([][]core.Record, di.NumLayers())
-	for k := range layers {
-		if layers[k], err = di.ReadLayer(k); err != nil {
-			return nil, fmt.Errorf("wal: checkpoint %d layer %d: %w", seq, k, err)
-		}
-	}
-	return core.FromLayers(layers, m.cfg.Options)
+	return ix, nil
 }
 
 // attachAux re-attaches state carried in the checkpoint's aux blob —
@@ -558,36 +528,31 @@ func (m *Manager) rotateLocked(ix *core.Index) error {
 	next := m.seq + 1
 	cpPath := filepath.Join(m.dir, checkpointName(next))
 	if ix.HasDelta() {
-		// The on-disk format stores layers only; a raw write would drop
-		// pending delta inserts and resurrect tombstoned records. Fold
-		// the delta into a private compacted copy first — the logical
-		// state (and hence recovery) is unchanged.
+		// The on-disk format stores layers only, so the delta is folded
+		// into a private compacted copy — the logical state (and hence
+		// recovery) is unchanged. storage.WriteFS would fold on its own;
+		// folding here first makes the compactor spec below describe
+		// the folded layers the checkpoint holds.
 		folded, err := ix.CompactedClone()
 		if err != nil {
 			return fmt.Errorf("wal: checkpoint %d: compact delta: %w", next, err)
 		}
 		ix = folded
 	}
-	if m.cfg.CheckpointV1 {
-		if err := storage.WriteFS(m.fs, cpPath, ix); err != nil {
-			return fmt.Errorf("wal: checkpoint %d: %w", next, err)
-		}
-	} else {
-		// v2 checkpoints persist the hierarchical compactor's cluster
-		// assignment as the aux blob, so a restart re-attaches it instead
-		// of re-running k-means and re-peeling every cluster.
-		var aux []byte
-		if cc := ix.ClusterCompactor(); cc != nil {
-			if enc, ok := cc.(interface{ EncodeSpec() ([]byte, error) }); ok {
-				var err error
-				if aux, err = enc.EncodeSpec(); err != nil {
-					return fmt.Errorf("wal: checkpoint %d: encode compactor: %w", next, err)
-				}
+	// The checkpoint persists the hierarchical compactor's cluster
+	// assignment as the aux blob, so a restart re-attaches it instead of
+	// re-running k-means and re-peeling every cluster.
+	var aux []byte
+	if cc := ix.ClusterCompactor(); cc != nil {
+		if enc, ok := cc.(interface{ EncodeSpec() ([]byte, error) }); ok {
+			var err error
+			if aux, err = enc.EncodeSpec(); err != nil {
+				return fmt.Errorf("wal: checkpoint %d: encode compactor: %w", next, err)
 			}
 		}
-		if err := storage.WriteV2FS(m.fs, cpPath, ix, aux); err != nil {
-			return fmt.Errorf("wal: checkpoint %d: %w", next, err)
-		}
+	}
+	if err := storage.WriteFS(m.fs, cpPath, ix, aux); err != nil {
+		return fmt.Errorf("wal: checkpoint %d: %w", next, err)
 	}
 	if data, err := m.fs.ReadFile(cpPath); err == nil {
 		m.checkpointBytes.Store(int64(len(data)))

@@ -514,7 +514,7 @@ func writeDurable(fs *vfs.CrashFS, path string, data []byte) error {
 
 func marshalIndex(t *testing.T, ix *core.Index) []byte {
 	t.Helper()
-	data, err := storage.Marshal(ix)
+	data, err := storage.MarshalV2(ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,55 +103,59 @@ func TestCheckpointV2DefaultAndMmapReopen(t *testing.T) {
 	}
 }
 
+// TestV1ToV2Migration recovers data directories whose checkpoint is one
+// of the v1 files in internal/storage/testdata (written by the last v1
+// writer, so their content fingerprints are pinned there too): with
+// and without Mmap the v1 file decodes on the heap with its content
+// intact, the next rotation rewrites it as v2, and the reopen after
+// that serves from the mapping.
 func TestV1ToV2Migration(t *testing.T) {
-	dir := t.TempDir()
-	ix, err := core.Build(testRecords(t, 300, 3, 23), core.Options{Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, _, err := Open(dir, Config{CheckpointV1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Bootstrap(ix); err != nil {
-		t.Fatal(err)
-	}
-	mgr.Close()
-	if v := checkpointVersion(t, dir); v != 1 {
-		t.Fatalf("CheckpointV1 wrote format v%d", v)
-	}
-
-	// Mmap config against a v1 checkpoint: decode fallback, no mapping,
-	// identical state.
-	mgr2, ix2, err := Open(dir, Config{Mmap: true, Options: core.Options{Seed: 23}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr2.Mapped() != nil {
-		t.Fatal("v1 checkpoint must not map")
-	}
-	if ix2.ContentFingerprint() != ix.ContentFingerprint() {
-		t.Fatal("v1 load under Mmap changed the content fingerprint")
-	}
-	// The next rotation migrates the directory to v2...
-	if err := mgr2.Checkpoint(ix2); err != nil {
-		t.Fatal(err)
-	}
-	mgr2.Close()
-	if v := checkpointVersion(t, dir); v != 2 {
-		t.Fatalf("post-migration checkpoint format = v%d, want v2", v)
-	}
-	// ...and the reopen after that serves from the mapping.
-	mgr3, ix3, err := Open(dir, Config{Mmap: true, Options: core.Options{Seed: 23}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr3.Close()
-	if mgr3.Mapped() == nil {
-		t.Fatal("migrated v2 checkpoint did not map")
-	}
-	if ix3.ContentFingerprint() != ix.ContentFingerprint() {
-		t.Fatal("migration changed the content fingerprint")
+	for _, fx := range []struct{ name, content string }{
+		{"v1-3d.onion", "03e9d1c235c3fdba"},
+		{"v1-4d-maintained.onion", "9606a484b0e16132"},
+		{"v1-2d-empty.onion", "c615adcb76ddf8a7"},
+	} {
+		for _, mmap := range []bool{false, true} {
+			dir := t.TempDir()
+			v1, err := os.ReadFile(filepath.Join("..", "storage", "testdata", fx.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, checkpointName(1)), v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mgr, ix, err := Open(dir, Config{Mmap: mmap, Options: core.Options{Seed: 23}})
+			if err != nil {
+				t.Fatalf("%s mmap=%v: %v", fx.name, mmap, err)
+			}
+			if mgr.Mapped() != nil {
+				t.Fatalf("%s: a v1 checkpoint must not map", fx.name)
+			}
+			if ix.ContentFingerprint() != fx.content {
+				t.Fatalf("%s mmap=%v: recovery changed the content fingerprint", fx.name, mmap)
+			}
+			// The next rotation migrates the directory to v2...
+			if err := mgr.Checkpoint(ix); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Close()
+			if v := checkpointVersion(t, dir); v != 2 {
+				t.Fatalf("%s: post-migration checkpoint format = v%d, want v2", fx.name, v)
+			}
+			// ...and the reopen after that serves from the mapping.
+			mgr2, ix2, err := Open(dir, Config{Mmap: true, Options: core.Options{Seed: 23}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mgr2.Mapped() == nil {
+				t.Fatalf("%s: migrated v2 checkpoint did not map", fx.name)
+			}
+			if ix2.ContentFingerprint() != fx.content {
+				t.Fatalf("%s: migration changed the content fingerprint", fx.name)
+			}
+			mgr2.Close()
+			mgr2.Mapped().Close()
+		}
 	}
 }
 

@@ -28,8 +28,8 @@
 // Minimization queries negate the weights (Minimize does it for you).
 // Progressive retrieval — results streamed strictly in rank order, pay
 // only for what you consume — is available through Search. On-disk
-// indexes with the paper's paged flat-file layout are created with Save
-// and queried with OpenDisk. Hierarchies of per-cluster Onions for
+// indexes with the paper's paged layout are created with Save and
+// queried in place with OpenDisk. Hierarchies of per-cluster Onions for
 // constrained ("local") queries are built with BuildHierarchy.
 package onion
 
@@ -334,27 +334,26 @@ func (x *Index) Update(id uint64, vector []float64) error {
 	return x.ix.Update(id, vector)
 }
 
-// PruningMode selects how much bound-based work-skipping the query path
-// performs. Every mode returns bit-identical results; the modes differ
-// only in the work a query reports having done, which is what the
-// paper-faithful ablations measure.
+// PruningMode selects whether the query path skips work by bounds.
+// Both modes return bit-identical results; they differ only in the work
+// a query reports having done, which is what the paper-faithful
+// ablations measure.
 type PruningMode = core.PruningMode
 
 const (
 	// PruneAll enables layer pruning and, when shell tables are present
 	// (Options.Shells / SetShellPruning), spherical-shell intra-layer
-	// pruning too. The default.
+	// pruning too. The default. Comparing an index with shells against
+	// one without, both under PruneAll, isolates the shells'
+	// contribution.
 	PruneAll = core.PruneAll
-	// PruneLayersOnly keeps layer pruning but disables shell pruning —
-	// the ablation isolating the shells' contribution.
-	PruneLayersOnly = core.PruneLayersOnly
 	// PruneNothing evaluates every record of every accessed layer, the
 	// paper-faithful baseline.
 	PruneNothing = core.PruneNothing
 )
 
-// ParsePruningMode parses "all", "layers" or "none" (the String forms)
-// into a PruningMode; the empty string means PruneAll.
+// ParsePruningMode parses "all" or "none" (the String forms) into a
+// PruningMode; the empty string means PruneAll.
 func ParsePruningMode(s string) (PruningMode, error) { return core.ParsePruningMode(s) }
 
 // SetPruningMode selects the bound-based pruning behavior of subsequent
@@ -389,17 +388,21 @@ func (x *Index) EnableHierarchicalCompaction(clusters int) error {
 // currently attached (legacy structural maintenance detaches it).
 func (x *Index) HierarchicalCompaction() bool { return x.ix.ClusterCompactor() != nil }
 
-// Save writes the index to path in the paged flat-file layout of the
-// paper (Section 3.1): each layer in consecutive 4 KB pages, plus a
-// tiny header of layer extents. Pending delta mutations are folded
-// into the saved layers; the index itself is unchanged.
+// Save writes the index to path in the paged layout of the paper
+// (Section 3.1): each layer in consecutive 4 KB pages holding its
+// vectors, 8·d bytes per record, after a directory of layer extents,
+// pruning bounds and, with Options.Shells, shell tables (plus the
+// layer's canonical positions, which shells reorder). The record IDs
+// follow the layers. Pending delta mutations are folded into the saved
+// layers; the index itself is unchanged.
 func (x *Index) Save(path string) error {
 	return storage.Write(path, x.ix)
 }
 
 // Load reads an index file written by Save back into a fully mutable
 // in-memory index, preserving the stored layer partition exactly (no
-// re-peeling).
+// re-peeling) and the shell mode. Files from before the current format
+// load too; Save rewrites them in it.
 func Load(path string) (*Index, error) {
 	ix, err := storage.Load(path)
 	if err != nil {

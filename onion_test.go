@@ -2,9 +2,11 @@ package onion
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -198,71 +200,175 @@ func TestShellModeSurvivesMaintenance(t *testing.T) {
 	}
 }
 
+// sameRanking requires got to list want's IDs and score bits in order.
+func sameRanking(t *testing.T, name string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s rank %d: %+v, want %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSaveOpenDisk: every read path of a saved index answers alike. In
+// 2D–4D, with shells on and off, and with a delta pending at Save or
+// none, in-memory TopN, TopN after Load, TopN through OpenDisk and
+// OpenDisk's progressive Search return the same IDs, score bits and
+// order as brute force, and — against the folded state Save wrote —
+// the same layers and QueryStats. Every disk query costs one seek per
+// layer it accessed, and the loaded index stays correct under Insert
+// and Delete.
 func TestSaveOpenDisk(t *testing.T) {
-	recs, pts := testRecords(workload.Gaussian, 1500, 4, 5)
-	ix, err := Build(recs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "idx.onion")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	di, err := OpenDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer di.Close()
-	if di.Dim() != 4 || di.Len() != 1500 || di.NumLayers() != ix.NumLayers() {
-		t.Fatalf("disk header: dim=%d len=%d layers=%d", di.Dim(), di.Len(), di.NumLayers())
-	}
-	w := []float64{0.1, 0.2, 0.3, 0.4}
-	res, stats, io, err := di.TopN(w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle(pts, w, 10)
-	for i := range res {
-		if diff := res[i].Score - want[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("rank %d: %v want %v", i, res[i].Score, want[i])
+	for d := 2; d <= 4; d++ {
+		for _, shells := range []bool{false, true} {
+			for _, delta := range []bool{false, true} {
+				name := fmt.Sprintf("d=%d shells=%v delta=%v", d, shells, delta)
+				recs, _ := testRecords(workload.Gaussian, 1500, d, int64(5+d))
+				ix, err := Build(recs, Options{Shells: shells})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := make(map[uint64][]float64, len(recs))
+				for _, r := range recs {
+					live[r.ID] = r.Vector
+				}
+				folded := ix
+				if delta {
+					base := ix.ix.CloneDelta()
+					extra, _ := testRecords(workload.Uniform, 40, d, int64(50+d))
+					for i := range extra {
+						extra[i].ID += 5000
+						live[extra[i].ID] = extra[i].Vector
+					}
+					if err := base.InsertDelta(extra); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := base.DeleteDelta([]uint64{3, 700, 5001}, false); err != nil {
+						t.Fatal(err)
+					}
+					delete(live, 3)
+					delete(live, 700)
+					delete(live, 5001)
+					compacted, err := base.CompactedClone()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ix, folded = &Index{ix: base}, &Index{ix: compacted}
+				}
+				path := filepath.Join(t.TempDir(), "idx.onion")
+				if err := ix.Save(path); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				di, err := OpenDisk(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if di.Dim() != d || di.Len() != len(live) || di.NumLayers() != folded.NumLayers() {
+					t.Fatalf("%s: disk header: dim=%d len=%d layers=%d", name, di.Dim(), di.Len(), di.NumLayers())
+				}
+				for qi, w := range workload.QueryWeights(4, d, 77) {
+					for _, n := range []int{1, 10, 100} {
+						q := fmt.Sprintf("%s q%d top-%d", name, qi, n)
+						want := bruteRanking(live, w, n)
+						wantRes, wantStats, err := folded.TopNStats(w, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						mem, _, err := ix.TopNStats(w, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameRanking(t, q+" in memory", mem, want)
+						lres, lst, err := loaded.TopNStats(w, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dres, dst, io, err := di.TopN(w, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						stream, err := di.Search(w, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var sres []Result
+						for {
+							r, ok := stream.Next()
+							if !ok {
+								break
+							}
+							sres = append(sres, r)
+						}
+						if stream.Err() != nil {
+							t.Fatal(stream.Err())
+						}
+						for _, p := range []struct {
+							path string
+							res  []Result
+							st   QueryStats
+						}{{"Load", lres, lst}, {"OpenDisk", dres, dst}, {"OpenDisk stream", sres, stream.Stats()}} {
+							sameRanking(t, q+" "+p.path, p.res, want)
+							if !reflect.DeepEqual(p.res, wantRes) || p.st != wantStats {
+								t.Fatalf("%s %s: %+v, folded index %+v", q, p.path, p.st, wantStats)
+							}
+						}
+						if io.RandomAccesses != dst.LayersAccessed || io.SequentialReads < io.RandomAccesses {
+							t.Fatalf("%s: io %+v for %d layers accessed", q, io, dst.LayersAccessed)
+						}
+					}
+				}
+				if di.IO().RandomAccesses == 0 {
+					t.Errorf("%s: cumulative IO empty", name)
+				}
+				di.ResetIO()
+				if di.IO() != (IOStats{}) {
+					t.Errorf("%s: reset failed", name)
+				}
+				if _, err := di.Search([]float64{1}, 3); err == nil {
+					t.Error("bad-dimension disk search accepted")
+				}
+				if err := di.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				// The loaded index is mutable and stays exact.
+				if err := loaded.DeleteBatch([]uint64{1, 900}); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, 1)
+				delete(live, 900)
+				ins := Record{ID: 9000, Vector: make([]float64, d)}
+				for j := range ins.Vector {
+					ins.Vector[j] = 0.5
+				}
+				if err := loaded.Insert(ins); err != nil {
+					t.Fatal(err)
+				}
+				live[ins.ID] = ins.Vector
+				for _, w := range workload.QueryWeights(4, d, 78) {
+					got, err := loaded.TopN(w, 50)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameRanking(t, name+" after maintenance", got, bruteRanking(live, w, 50))
+				}
+			}
 		}
-	}
-	if io.RandomAccesses == 0 || io.RandomAccesses > stats.LayersAccessed {
-		t.Errorf("io %+v vs stats %+v", io, stats)
-	}
-	if io.Cost(8) <= 0 {
-		t.Error("non-positive IO cost")
-	}
-	// Progressive disk stream.
-	st, err := di.Search(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		r, ok := st.Next()
-		if !ok || r.Score != res[i].Score {
-			t.Fatalf("disk stream rank %d: %v,%v", i, r, ok)
-		}
-	}
-	if st.Err() != nil {
-		t.Fatal(st.Err())
-	}
-	if _, err := di.Search([]float64{1}, 3); err == nil {
-		t.Error("bad-dimension disk search accepted")
-	}
-	// Cumulative counters and reset.
-	if di.IO().RandomAccesses == 0 {
-		t.Error("cumulative IO empty")
-	}
-	di.ResetIO()
-	if di.IO().RandomAccesses != 0 {
-		t.Error("reset failed")
 	}
 }
 
 // TestDiskTopNEdgeCases: the on-disk walk follows Index.TopN at the
-// edges — n <= 0 returns nothing without touching the file, and a NaN
-// weight is rejected with ErrNonFiniteWeight instead of ranking NaNs.
+// edges — n <= 0 returns nothing without touching the file, an n beyond
+// the record count returns every record, and non-finite or
+// wrong-dimension weights fail with the same errors (NaN/Inf wrapping
+// ErrNonFiniteWeight) — and answers ordinary queries identically.
 func TestDiskTopNEdgeCases(t *testing.T) {
 	recs, _ := testRecords(workload.Gaussian, 3000, 3, 6)
 	ix, err := Build(recs, Options{})
@@ -278,15 +384,37 @@ func TestDiskTopNEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer di.Close()
-	w := []float64{0.5, 0.3, 0.2}
-	for _, n := range []int{0, -1} {
-		res, stats, io, err := di.TopN(w, n)
-		if err != nil || len(res) != 0 || stats != (QueryStats{}) || io != (IOStats{}) {
-			t.Fatalf("n=%d: %d results, stats %+v, io %+v, err %v", n, len(res), stats, io, err)
-		}
-	}
-	if _, _, _, err := di.TopN([]float64{math.NaN(), 0, 0}, 5); !errors.Is(err, ErrNonFiniteWeight) {
-		t.Fatalf("NaN weight: err = %v, want ErrNonFiniteWeight", err)
+	w := []float64{0.4, -0.2, 0.9}
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+		n       int
+	}{
+		{"top-10", w, 10},
+		{"zero", w, 0},
+		{"negative", w, -1},
+		{"beyond len", w, 4000},
+		{"huge", w, math.MaxInt},
+		{"nan", []float64{math.NaN(), 0, 0}, 5},
+		{"inf", []float64{0, math.Inf(-1), 0}, 5},
+		{"short", []float64{1, 2}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, wantStats, wantErr := ix.TopNStats(tc.weights, tc.n)
+			got, st, io, err := di.TopN(tc.weights, tc.n)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("err = %v, want %v", err, wantErr)
+			}
+			if errors.Is(wantErr, ErrNonFiniteWeight) != errors.Is(err, ErrNonFiniteWeight) {
+				t.Fatalf("err = %v does not wrap ErrNonFiniteWeight like %v", err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) || st != wantStats {
+				t.Fatalf("%d results %+v, in memory %d results %+v", len(got), st, len(want), wantStats)
+			}
+			if tc.n <= 0 && (len(got) != 0 || st != (QueryStats{}) || io != (IOStats{})) {
+				t.Fatalf("n=%d did work: %d results, stats %+v, io %+v", tc.n, len(got), st, io)
+			}
+		})
 	}
 	if _, err := di.Search([]float64{0, math.Inf(1), 0}, 5); !errors.Is(err, ErrNonFiniteWeight) {
 		t.Fatalf("Inf weight stream: err = %v, want ErrNonFiniteWeight", err)

@@ -27,12 +27,16 @@ echo "== go test -race ./... $*"
 go test -race "$@" ./...
 
 # The race build intercepts memory through the shadow map, so the
-# real-mmap tests (unsafe views over a syscall.Mmap region) skip
+# TestMappedV2 tests (unsafe views over a syscall.Mmap region) skip
 # themselves there. Rerun them without -race so CI still exercises the
 # actual mapping: open, zero-copy serving, budget eviction, corrupt-file
-# rejection. The heap decode of the same v2 bytes IS raced above.
+# rejection. The heap decode of the same v2 bytes IS raced above. The
+# same pass reruns the facade's OpenDisk tests and the truncation tests,
+# which turn a SIGBUS on a file truncated under its mapping into an
+# error, outside the race runtime too.
 echo "== real mmap serving tests (no -race)"
-go test -count=1 -run 'TestMappedV2' ./internal/storage
+go test -count=1 -run 'TestMappedV2|TestQuerySurfacesIOErrors|TestSearcherErrStopsStream' ./internal/storage
+go test -count=1 -run 'Disk|SaveLoad' .
 
 # Coverage floor for the index kernel and the hierarchical compactor.
 # 88.5% is just under the combined statement coverage of internal/core
