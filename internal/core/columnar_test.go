@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -21,6 +23,65 @@ func roundTripColumnar(t testing.TB, ix *Index, opt Options) *Index {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// layerTally is a SlabSource that counts the layers a walk enters.
+type layerTally struct{ n int }
+
+func (c *layerTally) BeginLayer(int) { c.n++ }
+
+// TestSourceTopNMatchesIndexTopN: an index served through the columnar
+// seam with a SlabSource attached — the path the on-disk index takes —
+// honours Index.TopN's contract at the edges: n <= 0 returns nothing
+// and enters no layer, an n beyond the record count returns every
+// record, and non-finite or wrong-dimension weights fail with the same
+// errors before any layer is entered — and answers ordinary queries
+// identically, announcing to the source exactly the layers it scores.
+func TestSourceTopNMatchesIndexTopN(t *testing.T) {
+	ix := buildRand(t, workload.Gaussian, 300, 3, 21)
+	src := roundTripColumnar(t, ix, Options{})
+	var tally layerTally
+	src.SetSlabSource(&tally)
+	w := []float64{0.4, -0.2, 0.9}
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+		n       int
+	}{
+		{"top-10", w, 10},
+		{"zero", w, 0},
+		{"negative", w, -1},
+		{"beyond len", w, 1000},
+		{"huge", w, math.MaxInt},
+		{"nan", []float64{math.NaN(), 0, 0}, 5},
+		{"inf", []float64{0, math.Inf(-1), 0}, 5},
+		{"short", []float64{1, 2}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tally.n = 0
+			want, wantSt, wantErr := ix.TopN(tc.weights, tc.n)
+			got, st, err := src.TopN(tc.weights, tc.n)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("err = %v, want %v", err, wantErr)
+			}
+			if errors.Is(wantErr, ErrNonFiniteWeight) != errors.Is(err, ErrNonFiniteWeight) {
+				t.Fatalf("err = %v does not wrap ErrNonFiniteWeight like %v", err, wantErr)
+			}
+			resultsBitIdentical(t, tc.name, got, want)
+			if st != wantSt {
+				t.Fatalf("stats %+v, want %+v", st, wantSt)
+			}
+			if err == nil && tc.n >= ix.Len() && len(got) != ix.Len() {
+				t.Fatalf("n=%d returned %d of %d records", tc.n, len(got), ix.Len())
+			}
+			if tally.n != st.LayersAccessed {
+				t.Fatalf("source saw %d layers, walk accessed %d", tally.n, st.LayersAccessed)
+			}
+			if (tc.n <= 0 || err != nil) && (st != (Stats{}) || tally.n != 0) {
+				t.Fatalf("n=%d did work: %+v, %d layers entered", tc.n, st, tally.n)
+			}
+		})
+	}
 }
 
 func buildShells(t testing.TB, n, d int, seed int64) *Index {
