@@ -54,7 +54,9 @@ func OpenDisk(path string) (*DiskIndex, error) {
 	return &DiskIndex{mp: mp, ix: ix}, nil
 }
 
-// Close releases the mapping. Queries after Close return an error.
+// Close releases the mapping. It may run concurrently with queries:
+// it waits for the TopN and DiskStream.Next calls in flight to return,
+// and every query after it returns an error.
 func (d *DiskIndex) Close() error { return d.mp.Close() }
 
 // TopN answers a top-n query from disk, returning results, evaluation

@@ -2,9 +2,12 @@ package onion
 
 import (
 	"errors"
+	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -116,6 +119,9 @@ func TestSaveLoadKeepsShellMode(t *testing.T) {
 // instead of killing the process with SIGBUS, the index stays failed,
 // and Close makes every later query an error too.
 func TestOpenDiskSurvivesTruncation(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("only a Linux mmap sees the truncation; elsewhere OpenDisk reads the file onto the heap")
+	}
 	recs, _ := testRecords(workload.Gaussian, 3000, 3, 3)
 	ix, err := Build(recs, Options{})
 	if err != nil {
@@ -162,6 +168,66 @@ func TestOpenDiskSurvivesTruncation(t *testing.T) {
 	}
 	if _, _, _, err := di.TopN(w, 1); err == nil {
 		t.Fatal("a query after Close succeeded")
+	}
+}
+
+// TestOpenDiskCloseWaitsForQueries closes a DiskIndex while TopN runs
+// on other goroutines: every query either returns the full answer or
+// fails with fs.ErrClosed. None reads the mapping after Close removed
+// it, which would fault (ErrCorrupt) or read whatever was mapped there
+// next.
+func TestOpenDiskCloseWaitsForQueries(t *testing.T) {
+	recs, _ := testRecords(workload.Gaussian, 3000, 3, 4)
+	ix, err := Build(recs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "idx.onion")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	di, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{0.2, 0.5, 0.3}
+	want, err := ix.TopN(w, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	started := make(chan struct{}, workers)
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func() {
+			for q := 0; ; q++ {
+				got, _, _, err := di.TopN(w, 300)
+				if q == 0 {
+					started <- struct{}{}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						errs <- fmt.Errorf("query %d rank %d: %+v, want %+v", q, i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for g := 0; g < workers; g++ {
+		<-started
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; !errors.Is(err, fs.ErrClosed) {
+			t.Errorf("a query racing Close: %v, want fs.ErrClosed", err)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestWriteSurvivesCrash(t *testing.T) {
 }
 
 // TestDiskIndexMatchesMemoryProperty is the storage round-trip property
-// test. In 2D–5D, with shells on and off, and with a delta pending at
+// test. In 2D–6D, with shells on and off, and with a delta pending at
 // the write or none, a written file must answer top-N queries through
 // the heap decode and through the mapping exactly as the in-memory
 // index it came from: the same IDs and score bits in the same order,
@@ -87,7 +87,7 @@ func TestWriteSurvivesCrash(t *testing.T) {
 // match brute force.
 func TestDiskIndexMatchesMemoryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for d := 2; d <= 5; d++ {
+	for d := 2; d <= 6; d++ {
 		for _, shells := range []bool{false, true} {
 			for _, delta := range []bool{false, true} {
 				name := fmt.Sprintf("d=%d shells=%v delta=%v", d, shells, delta)

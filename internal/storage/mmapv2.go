@@ -59,6 +59,10 @@ type MappedV2 struct {
 	// and so does the first memory fault Guard recovers, quarantining a
 	// mapping whose file was truncated or replaced.
 	dead atomic.Pointer[error]
+	// closeMu is held for reading by every Guard call and for writing
+	// by Close, so Close waits for guarded reads in flight instead of
+	// unmapping the pages under them.
+	closeMu sync.RWMutex
 }
 
 // OpenMappedV2 maps path on the production filesystem.
@@ -230,11 +234,15 @@ func (m *MappedV2) Vars() expvar.Var {
 // under a live mapping makes the next read of a vanished page raise
 // SIGBUS, which would otherwise kill the process; Guard recovers it as
 // an error wrapping ErrCorrupt and quarantines the store, so every
-// later Guard returns that error without running fn. After Close,
-// Guard returns an error wrapping fs.ErrClosed. fn must not hand the
-// mapping to other goroutines: fault panics are per goroutine. Panics
-// other than memory faults propagate.
+// later Guard returns that error without running fn. A Close that
+// arrives while fn runs waits for it; after Close, Guard returns an
+// error wrapping fs.ErrClosed. fn must not hand the mapping to other
+// goroutines (fault panics are per goroutine), and must not call Guard
+// or Close, which would wait on the lock fn runs under. Panics other
+// than memory faults propagate.
 func (m *MappedV2) Guard(fn func()) (err error) {
+	m.closeMu.RLock()
+	defer m.closeMu.RUnlock()
 	if dead := m.dead.Load(); dead != nil {
 		return *dead
 	}
@@ -255,12 +263,17 @@ func (m *MappedV2) Guard(fn func()) (err error) {
 	return nil
 }
 
-// Close unmaps the file. Only safe once no index built from this store
-// (nor any clone) can run another query outside Guard — their vector
-// views alias the mapping. Long-lived servers simply never call it (the
-// mapping lives until process exit); tests with bounded lifetimes and
-// onion.DiskIndex, whose queries all run under Guard, do.
+// Close unmaps the file once the Guard calls in flight have returned;
+// later Guard calls return an error wrapping fs.ErrClosed. Reads
+// outside Guard get no such protection: Close is only safe once no
+// index built from this store (nor any clone) can run another query
+// outside Guard — their vector views alias the mapping. Long-lived
+// servers simply never call it (the mapping lives until process exit);
+// tests with bounded lifetimes and onion.DiskIndex, whose queries all
+// run under Guard, do.
 func (m *MappedV2) Close() error {
+	m.closeMu.Lock()
+	defer m.closeMu.Unlock()
 	closed := fmt.Errorf("storage: mapped file: %w", fs.ErrClosed)
 	m.dead.CompareAndSwap(nil, &closed)
 	return m.mapping.Close()

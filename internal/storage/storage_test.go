@@ -314,13 +314,13 @@ func TestCorruptFiles(t *testing.T) {
 	if err := load(bad); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: %v, want ErrBadMagic", err)
 	}
-	// v1: truncated layer data, a layer extent past the end, a record
-	// count that disagrees with the layers, and a ragged size.
+	// v1: truncated layer data, a layer extent past the end, a ragged
+	// size and a zero dimension. (A header record count that disagrees
+	// with the layers is not corruption: see v1-3d-delta-count.onion.)
 	v1 := readFixture(t, "v1-3d.onion")
 	for name, mutate := range map[string]func([]byte) []byte{
 		"truncated":       func(b []byte) []byte { return b[:len(b)-PageSize] },
 		"extent past end": func(b []byte) []byte { binary.LittleEndian.PutUint32(b[24:], 1<<20); return b },
-		"record count":    func(b []byte) []byte { binary.LittleEndian.PutUint64(b[12:], 1); return b },
 		"ragged":          func(b []byte) []byte { return append(b, 0) },
 		"dimension":       func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 0); return b },
 	} {
@@ -444,11 +444,15 @@ func TestEncodeDecodeRecords(t *testing.T) {
 	}
 }
 
-// v1Fixtures are files written by the last v1 writer (storage.Marshal)
-// with the content and layer-partition fingerprints of the index it
-// wrote: workload.Gaussian points with IDs from 1 — 80 in 3D (seed 7);
-// 60 in 4D (seed 8) after DeleteBatch(2, 30, 59) and InsertBatch of 4
-// more (seed 9, IDs from 1001); 20 in 2D (seed 10) after deleting all.
+// v1Fixtures are files written by the v1 writer (storage.Marshal) with
+// the content and layer-partition fingerprints the v1 reader loaded
+// from them: workload.Gaussian points with IDs from 1 — 80 in 3D (seed
+// 7); 60 in 4D (seed 8) after DeleteBatch(2, 30, 59) and InsertBatch of
+// 4 more (seed 9, IDs from 1001); 20 in 2D (seed 10) after deleting
+// all. The last was written before Marshal folded a delta: 50 in 3D
+// (seed 12) carrying unfolded InsertDelta of 2 (seed 13, IDs from 1001)
+// and DeleteDelta(3, 17, 40), so its header counts 49 records while its
+// layers hold the 50 base records — which is what it loads as.
 var v1Fixtures = []struct {
 	name, content, layering string
 	records, dim            int
@@ -456,6 +460,7 @@ var v1Fixtures = []struct {
 	{"v1-3d.onion", "03e9d1c235c3fdba", "5651e871ba1f674f", 80, 3},
 	{"v1-4d-maintained.onion", "9606a484b0e16132", "fee6a82eb2d15ce0", 61, 4},
 	{"v1-2d-empty.onion", "c615adcb76ddf8a7", "a8c7f832281a39c5", 0, 2},
+	{"v1-3d-delta-count.onion", "764871c5ed06d1d3", "56bccc033d36203c", 50, 3},
 }
 
 // TestLoadMigratesV1 reads every v1 fixture through Load: same records,

@@ -25,13 +25,18 @@ const v1HeaderBytes = 24
 // layer partition (core.FromLayers; no re-peeling). A file of zero
 // layers — an index whose records were all deleted — decodes to
 // core.Empty, which later insertions grow normally.
+//
+// The layer table is authoritative and the header's record count is
+// not checked against it: the v1 writer put the index's Len() there,
+// which for an index saved with unfolded delta mutations counted
+// records its layers did not hold. Such a file loads with its layers'
+// records, as the v1 reader always loaded it.
 func decodeV1(buf []byte, opt core.Options) (*core.Index, error) {
 	if len(buf) < v1HeaderBytes || len(buf)%PageSize != 0 {
 		return nil, fmt.Errorf("%w: v1 file is %d bytes, not whole pages", ErrCorrupt, len(buf))
 	}
 	le := binary.LittleEndian
 	dim := int(le.Uint32(buf[8:]))
-	records := le.Uint64(buf[12:])
 	count := int(le.Uint32(buf[20:]))
 	if dim <= 0 || RecordsPerPage(dim) == 0 {
 		return nil, fmt.Errorf("%w: dimension %d", ErrCorrupt, dim)
@@ -40,7 +45,6 @@ func decodeV1(buf []byte, opt core.Options) (*core.Index, error) {
 		return nil, fmt.Errorf("%w: truncated layer table", ErrCorrupt)
 	}
 	layers := make([][]core.Record, count)
-	total := uint64(0)
 	for k := range layers {
 		off := v1HeaderBytes + 12*k
 		start := int64(le.Uint32(buf[off:])) * PageSize
@@ -54,10 +58,6 @@ func decodeV1(buf []byte, opt core.Options) (*core.Index, error) {
 			return nil, err
 		}
 		layers[k] = recs
-		total += uint64(n)
-	}
-	if total != records {
-		return nil, fmt.Errorf("%w: layers hold %d records, header says %d", ErrCorrupt, total, records)
 	}
 	if count == 0 {
 		return core.Empty(dim, opt)

@@ -104,7 +104,7 @@ func TestCheckpointV2DefaultAndMmapReopen(t *testing.T) {
 }
 
 // TestV1ToV2Migration recovers data directories whose checkpoint is one
-// of the v1 files in internal/storage/testdata (written by the last v1
+// of the v1 files in internal/storage/testdata (written by the v1
 // writer, so their content fingerprints are pinned there too): with
 // and without Mmap the v1 file decodes on the heap with its content
 // intact, the next rotation rewrites it as v2, and the reopen after
@@ -114,6 +114,7 @@ func TestV1ToV2Migration(t *testing.T) {
 		{"v1-3d.onion", "03e9d1c235c3fdba"},
 		{"v1-4d-maintained.onion", "9606a484b0e16132"},
 		{"v1-2d-empty.onion", "c615adcb76ddf8a7"},
+		{"v1-3d-delta-count.onion", "764871c5ed06d1d3"},
 	} {
 		for _, mmap := range []bool{false, true} {
 			dir := t.TempDir()
