@@ -65,7 +65,7 @@ var (
 	mixedReaders  = flag.Int("mixed-readers", 4, "mixed-workload: concurrent reader goroutines")
 	mixedRateFlag = flag.Int("mixed-rate", 200, "mixed-workload: target mutations per second (0 = unthrottled)")
 	mixedDurFlag  = flag.Duration("mixed-dur", 20*time.Second, "mixed-workload: measurement duration")
-	mixedDTFlag   = flag.Int("mixed-delta-threshold", 0, "mixed-workload: server delta compaction threshold (0 = server default, negative = legacy synchronous cascade)")
+	mixedDTFlag   = flag.Int("mixed-delta-threshold", 0, "mixed-workload: server delta compaction threshold (0 = server default)")
 	mixedOutFlag  = flag.String("mixed-out", "BENCH_write.json", "mixed-workload: summary JSON output path")
 
 	compactionFlag   = flag.Bool("compaction-scaling", false, "sweep background-fold cost (flat full re-peel vs hierarchical per-cluster fold) across corpus and delta sizes instead of running experiments; gates every publish on a brute-force + flat-twin bit-equivalence oracle, emits -compaction-out JSON")
@@ -173,6 +173,9 @@ func main() {
 		// Unlike the scaling sweeps this mode builds the corpus once, so
 		// the committed baseline runs at the experiment suite's full 1M
 		// scale; -n/-quick shrink it for CI smokes.
+		if *mixedDTFlag < 0 {
+			fatal(fmt.Errorf("-mixed-delta-threshold must not be negative, got %d", *mixedDTFlag))
+		}
 		mixedWorkload(n, *mixedReaders, *mixedRateFlag, *mixedDurFlag, *mixedDTFlag, *mixedOutFlag)
 		return
 	}

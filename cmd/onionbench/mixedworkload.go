@@ -342,7 +342,7 @@ func mixedWorkload(n, readers, rate int, dur time.Duration, threshold int, outPa
 	if foldAt == 0 {
 		foldAt = server.DefaultDeltaThreshold
 	}
-	if foldAt > 0 && inserts+deletes >= 2*int64(foldAt) && folds == 0 {
+	if inserts+deletes >= 2*int64(foldAt) && folds == 0 {
 		fatal(fmt.Errorf("mixed-workload: %d acked mutations against a fold threshold of %d, but no fold completed", inserts+deletes, foldAt))
 	}
 	if foldErrs > 0 {

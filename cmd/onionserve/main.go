@@ -20,7 +20,7 @@
 // Queries run lock-free against an immutable snapshot; mutations are
 // batched by a single mutator goroutine, absorbed into an unlayered
 // delta buffer that every query merges on the total order, and
-// published by atomic pointer swap in O(delta) — a background
+// published by atomic pointer swap in O(batch) — a background
 // compactor folds the buffer into the layered index past
 // -delta-threshold (see internal/server). With -hier-compaction the
 // fold is hierarchical (paper Section 4): the corpus is partitioned by
@@ -34,8 +34,10 @@
 // shells_* counters on /v1/metrics report the saving). With -data-dir,
 // every mutation
 // batch is group-committed to a write-ahead log before its snapshot is
-// published, and restart recovers the newest checkpoint plus the log's
-// valid prefix (see internal/wal and the README's Durability section).
+// published, and restart recovers the newest checkpoint with the log's
+// valid prefix replayed into its delta buffer — no hull work — folding
+// at once if that delta is already past -delta-threshold (see
+// internal/wal and the README's Durability section).
 // Adding -mmap serves the recovered checkpoint straight from a memory
 // mapping: restart skips the decode entirely and layer extents page in
 // on first touch, with -resident-budget bounding the page-cache
@@ -77,7 +79,7 @@ var (
 	timeoutFlag  = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline")
 	resultsFlag  = flag.Int("max-results", 100_000, "cap on topn n / search limit (0 = unlimited)")
 	batchFlag    = flag.Int("max-batch", 32, "max mutations coalesced per snapshot rebuild")
-	deltaFlag    = flag.Int("delta-threshold", 0, "pending delta-buffer records that trigger background compaction (0 = 4096, negative = synchronous cascades on every mutation batch)")
+	deltaFlag    = flag.Int("delta-threshold", 0, "pending delta-buffer records that trigger background compaction (0 = 4096)")
 	saveFlag     = flag.String("save-on-exit", "", "persist the final snapshot to this path on shutdown")
 	parFlag      = flag.Int("parallelism", 0, "worker bound for hull maintenance and large-layer query scoring (0 = one per CPU, 1 = sequential)")
 	dataDirFlag  = flag.String("data-dir", "", "directory for the write-ahead log and checkpoints; mutations become durable and restarts recover the last published state")
@@ -98,6 +100,9 @@ func main() {
 	flag.Parse()
 	log.SetPrefix("onionserve: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	if *deltaFlag < 0 {
+		log.Fatalf("-delta-threshold must not be negative, got %d", *deltaFlag)
+	}
 
 	// The listener comes up before state recovery, serving a boot
 	// handler: /v1/healthz/live answers 200 (the process is alive),
@@ -135,9 +140,11 @@ func main() {
 			// it re-attached during recovery with no k-means and no
 			// re-peel, so skip the from-scratch Attach entirely.
 			log.Print("hier-compaction: cluster assignment restored from checkpoint")
-		} else if ix.Len() == 0 {
-			log.Print("hier-compaction: corpus empty, compacting flat until restart with data")
+		} else if ix.NumLayers() == 0 {
+			log.Print("hier-compaction: layered corpus empty, compacting flat until restart with data")
 		} else {
+			// Clusters the layered base; a delta the restart replayed
+			// from the log stays pending for the first fold.
 			start := time.Now()
 			c, err := hierarchy.Attach(ix, hierarchy.CompactorOptions{
 				Clusters: *clustersFlag,
@@ -148,7 +155,7 @@ func main() {
 				log.Fatalf("hier-compaction: %v", err)
 			}
 			log.Printf("hier-compaction: %d clusters over %d records in %v",
-				c.NumClusters(), ix.Len(), time.Since(start).Round(time.Millisecond))
+				c.NumClusters(), c.Len(), time.Since(start).Round(time.Millisecond))
 		}
 	}
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Hierarchical (clustered) compaction — the paper's Section 4 structure
 // put to work on the write path. A flat Compact folds the delta buffer
@@ -54,18 +51,16 @@ type ClusterCompactor interface {
 // SetClusterCompactor attaches (or, with nil, detaches) a hierarchical
 // compactor. Compact and CompactedClone then fold the delta through it
 // instead of the flat batch cascades. The compactor must describe
-// exactly the index's current base record set, so attachment requires
-// an empty delta buffer and a matching record count — attach right
-// after Build/Load, or after a Compact. Structural maintenance through
-// the legacy cascading mutators detaches the compactor (the cascades
-// re-layer the base behind its back); delta mutations keep it.
+// exactly the index's layered base record set — tombstoned records
+// included, delta inserts excluded, since a fold applies the pending
+// delta to it — so attachment checks the base record count. Structural
+// maintenance through the legacy cascading mutators detaches the
+// compactor (the cascades re-layer the base behind its back); delta
+// mutations keep it.
 func (ix *Index) SetClusterCompactor(cc ClusterCompactor) error {
 	if cc == nil {
 		ix.cc = nil
 		return nil
-	}
-	if ix.delta != nil {
-		return fmt.Errorf("core: attach compactor: delta buffer pending; compact first")
 	}
 	if got, want := cc.Len(), ix.baseLen(); got != want {
 		return fmt.Errorf("core: attach compactor: compactor holds %d records, index holds %d", got, want)
@@ -88,12 +83,7 @@ func (ix *Index) compactClustered() error {
 		return nil
 	}
 	d := ix.delta
-	deadIDs := make([]uint64, 0, len(d.dead))
-	for id := range d.dead {
-		deadIDs = append(deadIDs, id)
-	}
-	sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
-	cc2, layers, err := ix.cc.Fold(d.recs, deadIDs)
+	cc2, layers, err := ix.cc.Fold(d.appendLive(make([]Record, 0, d.live)), d.tombIDs(ix.ids))
 	if err != nil {
 		return fmt.Errorf("core: clustered compact: %w", err)
 	}
@@ -118,7 +108,7 @@ func (ix *Index) compactClustered() error {
 }
 
 // cloneForFold returns the minimal clone a clustered fold needs: shared
-// base fields plus a deep copy of the delta bookkeeping. Unlike
+// base fields plus a successor of the persistent delta. Unlike
 // CloneDelta it does not mark the origin shared — the fold never
 // touches the base arrays, it replaces them wholesale — so a
 // checkpoint or background compaction leaves the source index's
@@ -148,7 +138,7 @@ func (ix *Index) cloneForFold() *Index {
 		shared:    true,
 	}
 	if ix.delta != nil {
-		cp.delta = ix.delta.clone()
+		cp.delta = ix.delta.successor()
 	}
 	return cp
 }

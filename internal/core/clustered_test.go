@@ -80,13 +80,26 @@ func TestSetClusterCompactorGuards(t *testing.T) {
 	}
 	cc.skew = 0
 
+	// A pending delta does not block attachment: the compactor describes
+	// the base (the tombstoned record included), and a fold applies the
+	// delta to it.
 	if err := ix.InsertDelta([]Record{{ID: 1000, Vector: []float64{1, 2, 3}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SetClusterCompactor(cc); err == nil || !strings.Contains(err.Error(), "delta buffer pending") {
-		t.Fatalf("pending-delta attach: got %v", err)
+	if _, err := ix.DeleteDelta([]uint64{1}, false); err != nil {
+		t.Fatal(err)
 	}
-	if err := ix.Compact(); err != nil { // flat: nothing attached yet
+	if err := ix.SetClusterCompactor(cc); err != nil {
+		t.Fatalf("pending-delta attach: %v", err)
+	}
+	want := ix.ContentFingerprint()
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.HasDelta() || ix.ContentFingerprint() != want {
+		t.Fatalf("fold through the compactor: delta %v, content changed %v", ix.HasDelta(), ix.ContentFingerprint() != want)
+	}
+	if err := ix.SetClusterCompactor(nil); err != nil {
 		t.Fatal(err)
 	}
 

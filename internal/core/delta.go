@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/topk"
 )
@@ -15,9 +17,10 @@ import (
 // tombstones over the layered base — and every query merges the delta
 // into its result stream on the index's total order (score descending,
 // ID ascending). Answers are bit-identical to a full rebuild while the
-// cost of applying a mutation batch is O(delta), independent of the
-// corpus. A compaction (Compact/CompactedClone) folds the delta back
-// into the layered base with the existing batch cascades when the
+// cost of applying a mutation batch is O(batch): the delta is
+// persistent, so a CloneDelta shares it with its origin instead of
+// copying it. A compaction (Compact/CompactedClone) folds the delta
+// back into the layered base with the existing batch cascades when the
 // buffer crosses a size threshold; the serving layer runs that in the
 // background off the publish path.
 //
@@ -28,41 +31,249 @@ import (
 // base arrays with their origin — the single-mutator serving loop
 // relies on both guards.
 
-// deltaState holds the pending unlayered mutations.
+// deltaState is one version of the pending unlayered mutations. The
+// versions of a clone chain share everything a mutation leaves alone:
+//
+//   - Inserts append to a slot log — record IDs, and vectors in one
+//     contiguous slab of dim floats per slot — whose backing arrays
+//     the chain shares, each version seeing its own prefix. The tail
+//     counter lets exactly one successor of a version append in place;
+//     a sibling that finds the next slot claimed copies its prefix to
+//     fresh arrays. Slots below a claim are never written again.
+//   - Deleting a delta record marks its slot dead. Once dead slots
+//     outnumber live ones the log is rewritten without them, so the
+//     rewrite is paid for by the deletes that made it due.
+//   - Dead slots and tombstoned base positions are copy-on-write
+//     bitsets, and the live-ID lookup is a shared map plus a small
+//     per-version overlay (idMap).
+//
+// A version that has a successor is frozen and never written again, so
+// a published version needs no synchronisation beyond its publication.
+// A mutable version writes in place only the copy-on-write parts
+// stamped with its own token, own.
 type deltaState struct {
-	recs    []Record        // live delta inserts; vectors owned by the delta
-	byID    map[uint64]int  // record ID -> index into recs
-	dead    map[uint64]bool // tombstoned base record IDs
-	deadPos map[int]bool    // tombstoned base positions (mirror of dead)
+	dim  int
+	ids  []uint64      // slot -> record ID
+	vecs []float64     // slot s holds vecs[s*dim : (s+1)*dim]
+	tail *atomic.Int64 // slots claimed in the backing arrays of ids/vecs
+
+	deadSlots cowBits // log slots whose record was deleted again
+	deadBase  cowBits // tombstoned base positions
+	byID      idMap   // live delta record ID -> slot
+	live      int     // live slots
+	tombs     int     // tombstoned base positions
+
+	own    *byte       // this version's copy-on-write stamp
+	frozen atomic.Bool // a successor shares this version
 }
 
-func newDeltaState() *deltaState {
+// reclaimMin is the dead-slot count below which the log is never
+// rewritten: small rewrites would cost more than the slots they free.
+const reclaimMin = 64
+
+func newDeltaState(dim int) *deltaState {
+	return &deltaState{dim: dim, own: new(byte)}
+}
+
+// successor returns a new version sharing everything with d, and
+// freezes d. It only reads d's fields, so several goroutines may take
+// successors of one published version at once.
+func (d *deltaState) successor() *deltaState {
+	d.frozen.Store(true)
 	return &deltaState{
-		byID:    make(map[uint64]int),
-		dead:    make(map[uint64]bool),
-		deadPos: make(map[int]bool),
+		dim: d.dim, ids: d.ids, vecs: d.vecs, tail: d.tail,
+		deadSlots: d.deadSlots, deadBase: d.deadBase, byID: d.byID,
+		live: d.live, tombs: d.tombs,
+		own: new(byte),
 	}
 }
 
-// clone deep-copies the delta bookkeeping. Vectors are shared — nothing
-// in this package ever writes into a stored vector.
-func (d *deltaState) clone() *deltaState {
-	cp := &deltaState{
-		recs:    append([]Record(nil), d.recs...),
-		byID:    make(map[uint64]int, len(d.byID)),
-		dead:    make(map[uint64]bool, len(d.dead)),
-		deadPos: make(map[int]bool, len(d.deadPos)),
+// vec returns slot s's vector, capped so an append by the caller cannot
+// run into the next slot.
+func (d *deltaState) vec(s int) []float64 {
+	return d.vecs[s*d.dim : (s+1)*d.dim : (s+1)*d.dim]
+}
+
+// appendSlot stores one record after the version's log prefix and
+// returns its slot.
+func (d *deltaState) appendSlot(id uint64, vec []float64) int {
+	n := len(d.ids)
+	if n == cap(d.ids) || !d.tail.CompareAndSwap(int64(n), int64(n+1)) {
+		// The arrays are full, or a sibling already claimed slot n:
+		// continue on a private copy of this version's prefix.
+		c := 2*n + 16
+		ids := make([]uint64, n, c)
+		copy(ids, d.ids)
+		vecs := make([]float64, n*d.dim, c*d.dim)
+		copy(vecs, d.vecs)
+		d.ids, d.vecs, d.tail = ids, vecs, new(atomic.Int64)
+		d.tail.Store(int64(n + 1))
 	}
-	for id, i := range d.byID {
-		cp.byID[id] = i
+	d.ids = append(d.ids, id)
+	d.vecs = append(d.vecs, vec...)
+	return n
+}
+
+// maybeReclaim rewrites the log without its dead slots once they
+// outnumber the live ones, so insert/delete churn that never reaches a
+// fold keeps O(live) slots. Live records keep their relative order.
+func (d *deltaState) maybeReclaim() {
+	dead := len(d.ids) - d.live
+	if dead < reclaimMin || dead <= d.live {
+		return
 	}
-	for id := range d.dead {
-		cp.dead[id] = true
+	c := 2*d.live + 16
+	ids := make([]uint64, 0, c)
+	vecs := make([]float64, 0, c*d.dim)
+	byID := make(map[uint64]int32, d.live)
+	for s, id := range d.ids {
+		if !d.deadSlots.has(s) {
+			byID[id] = int32(len(ids))
+			ids = append(ids, id)
+			vecs = append(vecs, d.vec(s)...)
+		}
 	}
-	for p := range d.deadPos {
-		cp.deadPos[p] = true
+	d.ids, d.vecs, d.tail = ids, vecs, new(atomic.Int64)
+	d.tail.Store(int64(len(ids)))
+	d.deadSlots = cowBits{}
+	d.byID = idMap{base: byID, baseOwn: d.own}
+}
+
+// appendLive appends the live delta records to out in slot order,
+// which is the order of their (last) insertion.
+func (d *deltaState) appendLive(out []Record) []Record {
+	for s, id := range d.ids {
+		if !d.deadSlots.has(s) {
+			out = append(out, Record{ID: id, Vector: d.vec(s)})
+		}
 	}
-	return cp
+	return out
+}
+
+// tombIDs returns the IDs of the tombstoned base positions, ascending.
+func (d *deltaState) tombIDs(baseIDs []uint64) []uint64 {
+	out := make([]uint64, 0, d.tombs)
+	d.deadBase.each(func(p int) { out = append(out, baseIDs[p]) })
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// cowBits is a copy-on-write bitset of 4096-bit chunks behind a pointer
+// slice. Versions share chunks; a version copies a chunk, and the
+// pointer slice, the first time it sets a bit in one it does not own.
+type cowBits struct {
+	chunks []*bitChunk
+	own    *byte // owner of the chunks slice
+}
+
+type bitChunk struct {
+	own   *byte
+	words [chunkBits / 64]uint64
+}
+
+const chunkBits = 4096
+
+func (b *cowBits) has(i int) bool {
+	c := i / chunkBits
+	if c >= len(b.chunks) || b.chunks[c] == nil {
+		return false
+	}
+	return b.chunks[c].words[i%chunkBits/64]&(1<<(i%64)) != 0
+}
+
+func (b *cowBits) set(i int, own *byte) {
+	c := i / chunkBits
+	if b.own != own {
+		chunks := make([]*bitChunk, max(len(b.chunks), c+1))
+		copy(chunks, b.chunks)
+		b.chunks, b.own = chunks, own
+	} else if c >= len(b.chunks) {
+		b.chunks = append(b.chunks, make([]*bitChunk, c+1-len(b.chunks))...)
+	}
+	ch := b.chunks[c]
+	if ch == nil || ch.own != own {
+		cp := &bitChunk{own: own}
+		if ch != nil {
+			cp.words = ch.words
+		}
+		b.chunks[c], ch = cp, cp
+	}
+	ch.words[i%chunkBits/64] |= 1 << (i % 64)
+}
+
+// each calls fn for every set bit, ascending.
+func (b *cowBits) each(fn func(i int)) {
+	for c, ch := range b.chunks {
+		if ch == nil {
+			continue
+		}
+		for w, word := range ch.words {
+			for ; word != 0; word &= word - 1 {
+				fn(c*chunkBits + w*64 + bits.TrailingZeros64(word))
+			}
+		}
+	}
+}
+
+// idMap maps live delta record IDs to log slots persistently: a base
+// map that versions share, plus the version's own overlay (slot -1
+// hides a base entry). A version copies the overlay on its first
+// write, so a publish copies at most overlayMax entries; the overlay
+// is folded into a fresh base map once it outgrows that, so the fold's
+// O(delta) copy comes once per overlayMax writes. The version that
+// built the base map writes it in place until a successor shares it,
+// so a long run of writes on one version — a WAL replay, a fold's
+// journal — folds at most once.
+type idMap struct {
+	base       map[uint64]int32
+	overlay    map[uint64]int32
+	baseOwn    *byte // the version that built base; the overlay is empty then
+	overlayOwn *byte
+}
+
+const overlayMax = 128
+
+func (m *idMap) get(id uint64) (int, bool) {
+	if s, ok := m.overlay[id]; ok {
+		return int(s), s >= 0
+	}
+	s, ok := m.base[id]
+	return int(s), ok
+}
+
+// put maps id to slot, or hides it with slot -1.
+func (m *idMap) put(id uint64, slot int, own *byte) {
+	if m.baseOwn == own {
+		if slot < 0 {
+			delete(m.base, id)
+		} else {
+			m.base[id] = int32(slot)
+		}
+		return
+	}
+	if m.overlayOwn != own {
+		ov := make(map[uint64]int32, len(m.overlay)+1)
+		for k, v := range m.overlay {
+			ov[k] = v
+		}
+		m.overlay, m.overlayOwn = ov, own
+	}
+	m.overlay[id] = int32(slot)
+	if len(m.overlay) <= overlayMax {
+		return
+	}
+	base := make(map[uint64]int32, len(m.base)+len(m.overlay))
+	for k, v := range m.base {
+		base[k] = v
+	}
+	for k, v := range m.overlay {
+		if v < 0 {
+			delete(base, k)
+		} else {
+			base[k] = v
+		}
+	}
+	*m = idMap{base: base, baseOwn: own}
 }
 
 // errDeltaPending guards the legacy cascading mutators: folding the
@@ -95,13 +306,17 @@ func (ix *Index) DeltaLen() int {
 	if ix.delta == nil {
 		return 0
 	}
-	return len(ix.delta.recs) + len(ix.delta.dead)
+	return ix.delta.live + ix.delta.tombs
 }
 
-// ensureDelta returns the delta, creating it on first use.
-func (ix *Index) ensureDelta() *deltaState {
-	if ix.delta == nil {
-		ix.delta = newDeltaState()
+// mutDelta returns a delta version this index may write: created on
+// first use, and replaced by its own successor when a clone shares it.
+func (ix *Index) mutDelta() *deltaState {
+	switch {
+	case ix.delta == nil:
+		ix.delta = newDeltaState(ix.dim)
+	case ix.delta.frozen.Load():
+		ix.delta = ix.delta.successor()
 	}
 	return ix.delta
 }
@@ -110,35 +325,51 @@ func (ix *Index) ensureDelta() *deltaState {
 // empties (e.g. a delta insert deleted again before compaction).
 func (ix *Index) maybeDropDelta() {
 	d := ix.delta
-	if d != nil && len(d.recs) == 0 && len(d.dead) == 0 {
+	if d != nil && d.live == 0 && d.tombs == 0 {
 		ix.delta = nil
 	}
+}
+
+// tombstones returns the tombstoned base positions, or nil when there
+// are none (the common case the query hot path branches on once per
+// layer).
+func (ix *Index) tombstones() *cowBits {
+	if ix.delta == nil || ix.delta.tombs == 0 {
+		return nil
+	}
+	return &ix.delta.deadBase
+}
+
+// deltaSlot returns the log slot of a live delta record.
+func (ix *Index) deltaSlot(id uint64) (int, bool) {
+	if ix.delta == nil {
+		return 0, false
+	}
+	return ix.delta.byID.get(id)
+}
+
+// basePos returns the position of a live base record: present in the
+// layers and not tombstoned.
+func (ix *Index) basePos(id uint64) (int, bool) {
+	p, ok := ix.posMap()[id]
+	if !ok {
+		return 0, false
+	}
+	if dead := ix.tombstones(); dead != nil && dead.has(p) {
+		return 0, false
+	}
+	return p, true
 }
 
 // deltaHas reports whether id currently resolves to a live record,
 // looking through the delta: a delta insert wins, a tombstone hides
 // the base copy.
 func (ix *Index) deltaHas(id uint64) bool {
-	if ix.delta != nil {
-		if _, ok := ix.delta.byID[id]; ok {
-			return true
-		}
-		if ix.delta.dead[id] {
-			return false
-		}
+	if _, ok := ix.deltaSlot(id); ok {
+		return true
 	}
-	_, ok := ix.posMap()[id]
+	_, ok := ix.basePos(id)
 	return ok
-}
-
-// deadPosSet returns the tombstoned-position set, or nil when there are
-// no tombstones (the common case the query hot path branches on once
-// per layer).
-func (ix *Index) deadPosSet() map[int]bool {
-	if ix.delta == nil || len(ix.delta.deadPos) == 0 {
-		return nil
-	}
-	return ix.delta.deadPos
 }
 
 // InsertDelta appends records to the delta buffer: O(batch) per call,
@@ -158,21 +389,22 @@ func (ix *Index) InsertDelta(recs []Record) error {
 		}
 		seen[r.ID] = true
 	}
-	d := ix.ensureDelta()
+	if len(recs) == 0 {
+		return nil
+	}
+	d := ix.mutDelta()
 	for _, r := range recs {
-		vec := make([]float64, len(r.Vector))
-		copy(vec, r.Vector)
-		d.byID[r.ID] = len(d.recs)
-		d.recs = append(d.recs, Record{ID: r.ID, Vector: vec})
+		d.byID.put(r.ID, d.appendSlot(r.ID, r.Vector), d.own)
+		d.live++
 	}
 	return nil
 }
 
 // DeleteDelta removes records through the delta buffer: a delta-resident
-// ID leaves the buffer, a base-resident ID gains a tombstone; either
-// way O(batch). With missingOK false an unknown (or duplicated) ID
-// rejects the whole batch before any mutation, matching DeleteBatch;
-// with missingOK true unknown IDs are skipped and the number of records
+// ID's slot dies, a base-resident ID gains a tombstone; either way
+// O(batch). With missingOK false an unknown (or duplicated) ID rejects
+// the whole batch before any mutation, matching DeleteBatch; with
+// missingOK true unknown IDs are skipped and the number of records
 // actually removed is returned.
 func (ix *Index) DeleteDelta(ids []uint64, missingOK bool) (int, error) {
 	if !missingOK {
@@ -189,27 +421,24 @@ func (ix *Index) DeleteDelta(ids []uint64, missingOK bool) (int, error) {
 	}
 	applied := 0
 	for _, id := range ids {
-		if !ix.deltaHas(id) {
-			continue
-		}
-		d := ix.ensureDelta()
-		if i, ok := d.byID[id]; ok {
-			// Swap-remove from the delta; fix the moved record's slot.
-			last := len(d.recs) - 1
-			if i != last {
-				d.recs[i] = d.recs[last]
-				d.byID[d.recs[i].ID] = i
-			}
-			d.recs = d.recs[:last]
-			delete(d.byID, id)
+		if s, ok := ix.deltaSlot(id); ok {
+			d := ix.mutDelta()
+			d.deadSlots.set(s, d.own)
+			d.byID.put(id, -1, d.own)
+			d.live--
+		} else if p, ok := ix.basePos(id); ok {
+			d := ix.mutDelta()
+			d.deadBase.set(p, d.own)
+			d.tombs++
 		} else {
-			p := ix.posMap()[id]
-			d.dead[id] = true
-			d.deadPos[p] = true
+			continue
 		}
 		applied++
 	}
-	ix.maybeDropDelta()
+	if applied > 0 {
+		ix.delta.maybeReclaim()
+		ix.maybeDropDelta()
+	}
 	return applied, nil
 }
 
@@ -231,41 +460,16 @@ func (ix *Index) UpdateDelta(id uint64, vector []float64) error {
 
 // CloneDelta returns a shallow clone for the serving layer's
 // clone-apply-swap publish: the base arrays (points, IDs, layers,
-// position maps, slabs) are shared by reference and only the O(delta)
-// bookkeeping is copied, so publishing a mutation batch costs O(delta)
-// instead of O(index). The clone — and, from then on, its origin —
-// must never receive structural maintenance (the legacy mutators
-// refuse, see mutable); apply mutations through
+// position maps, slabs) are shared by reference, and so is the
+// persistent delta, so publishing a mutation batch costs O(batch)
+// amortized instead of O(index) or O(delta). The clone — and, from
+// then on, its origin — must never receive structural maintenance (the
+// legacy mutators refuse, see mutable); apply mutations through
 // InsertDelta/DeleteDelta/UpdateDelta and fold them back with
 // CompactedClone.
 func (ix *Index) CloneDelta() *Index {
-	cp := &Index{
-		dim:       ix.dim,
-		pts:       ix.pts,
-		ids:       ix.ids,
-		layers:    ix.layers,
-		layerOf:   ix.layerOf,
-		posOf:     ix.posOf,
-		posLazy:   ix.posLazy,
-		recLazy:   ix.recLazy,
-		free:      ix.free,
-		tol:       ix.tol,
-		seed:      ix.seed,
-		workers:   ix.workers,
-		joggled:   ix.joggled,
-		slabs:     ix.slabs,
-		maxLayer:  ix.maxLayer,
-		noPrune:   ix.noPrune,
-		shellMode: ix.shellMode,
-		shellTabs: ix.shellTabs,
-		slabSrc:   ix.slabSrc,
-		cc:        ix.cc,
-		shared:    true,
-	}
+	cp := ix.cloneForFold()
 	ix.shared = true
-	if ix.delta != nil {
-		cp.delta = ix.delta.clone()
-	}
 	return cp
 }
 
@@ -291,18 +495,13 @@ func (ix *Index) Compact() error {
 	}
 	d := ix.delta
 	ix.delta = nil
-	if len(d.dead) > 0 {
-		deadIDs := make([]uint64, 0, len(d.dead))
-		for id := range d.dead {
-			deadIDs = append(deadIDs, id)
-		}
-		sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
-		if err := ix.DeleteBatch(deadIDs); err != nil {
+	if d.tombs > 0 {
+		if err := ix.DeleteBatch(d.tombIDs(ix.ids)); err != nil {
 			return fmt.Errorf("core: compact delete: %w", err)
 		}
 	}
-	if len(d.recs) > 0 {
-		if err := ix.InsertBatch(d.recs); err != nil {
+	if d.live > 0 {
+		if err := ix.InsertBatch(d.appendLive(make([]Record, 0, d.live))); err != nil {
 			return fmt.Errorf("core: compact insert: %w", err)
 		}
 	}
@@ -317,7 +516,7 @@ func (ix *Index) CompactedClone() (*Index, error) {
 	if ix.cc != nil && ix.delta != nil {
 		// Hierarchical path: skip the O(n) deep Clone — the fold never
 		// mutates the shared base arrays, it replaces them — so the
-		// clone is O(delta) and the fold cost is bounded by the
+		// clone is O(batch) and the fold cost is bounded by the
 		// affected clusters.
 		cp := ix.cloneForFold()
 		if err := cp.compactClustered(); err != nil {
@@ -332,21 +531,25 @@ func (ix *Index) CompactedClone() (*Index, error) {
 	return cp, nil
 }
 
-// rankDelta scores every delta record against weights and returns them
-// in the index's total order (score descending, ID ascending) with
+// rankDelta scores every live delta record against weights and returns
+// them in the index's total order (score descending, ID ascending) with
 // Layer = -1: the merge stream NewSearcherChecked weaves into the base
 // walk. The dot product accumulates over j in index order, exactly
 // like the layer kernels, so merged scores are bit-identical to the
 // ones a rebuilt index would compute.
 func (ix *Index) rankDelta(weights []float64) []Result {
 	d := ix.delta
-	out := make([]Result, len(d.recs))
-	for i, r := range d.recs {
-		var s float64
-		for j, wj := range weights {
-			s += wj * r.Vector[j]
+	out := make([]Result, 0, d.live)
+	for s, id := range d.ids {
+		if d.deadSlots.has(s) {
+			continue
 		}
-		out[i] = Result{ID: r.ID, Score: s, Layer: -1}
+		v := d.vecs[s*d.dim : (s+1)*d.dim]
+		var sc float64
+		for j, wj := range weights {
+			sc += wj * v[j]
+		}
+		out = append(out, Result{ID: id, Score: sc, Layer: -1})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		return topk.ResultGreater(out[a].Score, out[a].ID, out[b].Score, out[b].ID)

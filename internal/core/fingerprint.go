@@ -48,25 +48,20 @@ func (ix *Index) Fingerprint() string {
 	// insert IDs and tombstone IDs behind a sentinel. An empty delta
 	// contributes nothing, so delta-free indexes keep their historical
 	// fingerprints (the WAL recovery oracle depends on that).
-	if ix.delta != nil {
+	if d := ix.delta; d != nil {
 		put(^uint64(0))
 		ids = ids[:0]
-		for _, r := range ix.delta.recs {
-			ids = append(ids, r.ID)
+		for s, id := range d.ids {
+			if !d.deadSlots.has(s) {
+				ids = append(ids, id)
+			}
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		put(uint64(len(ids)))
-		for _, id := range ids {
-			put(id)
-		}
-		ids = ids[:0]
-		for id := range ix.delta.dead {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		put(uint64(len(ids)))
-		for _, id := range ids {
-			put(id)
+		for _, set := range [][]uint64{ids, d.tombIDs(ix.ids)} {
+			put(uint64(len(set)))
+			for _, id := range set {
+				put(id)
+			}
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -76,11 +71,11 @@ func (ix *Index) Fingerprint() string {
 // (ID, vector-bits) multiset of live records, ignoring layer structure
 // entirely. Two indexes content-fingerprint equal iff they hold the
 // same records — whether one carries a pending delta buffer and the
-// other was rebuilt from scratch. This is the recovery oracle for the
-// incremental write path: WAL replay re-cascades operations, so the
-// recovered layer partition legitimately differs from a live snapshot
-// whose recent mutations still sit in the delta, but the record set
-// (and therefore every query answer) must match exactly.
+// other was rebuilt from scratch. This is the recovery oracle where a
+// fold ran after the checkpoint: recovery replays the log into the
+// checkpoint's delta while the live snapshot serves the fold's layers,
+// so the layer partitions legitimately differ, but the record set (and
+// therefore every query answer) must match exactly.
 func (ix *Index) ContentFingerprint() string {
 	recs := ix.Records()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })

@@ -302,7 +302,7 @@ func (ix *Index) Dim() int { return ix.dim }
 func (ix *Index) Len() int {
 	n := ix.baseLen()
 	if ix.delta != nil {
-		n += len(ix.delta.recs) - len(ix.delta.dead)
+		n += ix.delta.live - ix.delta.tombs
 	}
 	return n
 }
@@ -337,15 +337,10 @@ func (ix *Index) Layer(k int) []Record {
 // ok=false if no such record exists. Records pending in the delta
 // buffer are not layered yet and report layer -1.
 func (ix *Index) LayerOf(id uint64) (int, bool) {
-	if ix.delta != nil {
-		if _, ok := ix.delta.byID[id]; ok {
-			return -1, true
-		}
-		if ix.delta.dead[id] {
-			return 0, false
-		}
+	if _, ok := ix.deltaSlot(id); ok {
+		return -1, true
 	}
-	p, ok := ix.posMap()[id]
+	p, ok := ix.basePos(id)
 	if !ok {
 		return 0, false
 	}
@@ -355,15 +350,10 @@ func (ix *Index) LayerOf(id uint64) (int, bool) {
 // Vector returns the attribute vector of the record with the given ID,
 // looking through any pending delta.
 func (ix *Index) Vector(id uint64) ([]float64, bool) {
-	if ix.delta != nil {
-		if i, ok := ix.delta.byID[id]; ok {
-			return ix.delta.recs[i].Vector, true
-		}
-		if ix.delta.dead[id] {
-			return nil, false
-		}
+	if s, ok := ix.deltaSlot(id); ok {
+		return ix.delta.vec(s), true
 	}
-	p, ok := ix.posMap()[id]
+	p, ok := ix.basePos(id)
 	if !ok {
 		return nil, false
 	}
@@ -395,18 +385,18 @@ func (ix *Index) Joggled() bool { return ix.joggled }
 // order is unspecified.
 func (ix *Index) Records() []Record {
 	out := make([]Record, 0, ix.Len())
-	dead := ix.deadPosSet()
+	dead := ix.tombstones()
 	pts, _ := ix.recViews()
 	for _, layer := range ix.layers {
 		for _, p := range layer {
-			if dead != nil && dead[p] {
+			if dead != nil && dead.has(p) {
 				continue
 			}
 			out = append(out, Record{ID: ix.ids[p], Vector: pts[p]})
 		}
 	}
 	if ix.delta != nil {
-		out = append(out, ix.delta.recs...)
+		out = ix.delta.appendLive(out)
 	}
 	return out
 }

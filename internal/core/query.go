@@ -184,7 +184,7 @@ func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, er
 		limit = -1
 	}
 	s := &Searcher{ix: ix, weights: w, remain: limit}
-	if ix.delta != nil && len(ix.delta.recs) > 0 {
+	if ix.delta != nil && ix.delta.live > 0 {
 		// Brute-force the delta up front: every pending record is scored
 		// exactly once per query, which the stats account like a layer.
 		s.deltaRank = ix.rankDelta(w)
@@ -448,7 +448,7 @@ func (s *Searcher) consumeLayer(pos []int, scores []float64) {
 	// deeper layers nest inside this layer's hull with the tombstoned
 	// vertices still on it, so the finalization bound must be the
 	// maximum over every record of the layer, dead or alive.
-	dead := s.ix.deadPosSet()
+	dead := s.ix.tombstones()
 	var deadMax float64
 	haveDead := false
 	if dead == nil {
@@ -457,7 +457,7 @@ func (s *Searcher) consumeLayer(pos []int, scores []float64) {
 		}
 	} else {
 		for i, p := range pos {
-			if dead[p] {
+			if dead.has(p) {
 				if !haveDead || scores[i] > deadMax {
 					deadMax, haveDead = scores[i], true
 				}

@@ -211,14 +211,10 @@ func buildShellTable(sl *layerSlab, g *shellgeom.Geometry, dim int) shellTable {
 	return t
 }
 
-// shellTab returns layer k's shell table when shell evaluation is sound
-// for the index's current state, else nil. Tombstones (delta buffer
-// deletes) disable the shell walk: the Corollary 1 finalization bound
-// needs the maximum over every record of the layer including dead ones,
-// which a partial evaluation cannot provide. Compaction folds the
-// tombstones away and restores the fast path.
+// shellTab returns layer k's shell table when the index serves through
+// shells, else nil.
 func (ix *Index) shellTab(k int) *shellTable {
-	if ix.shellTabs == nil || ix.noPrune || ix.deadPosSet() != nil {
+	if ix.shellTabs == nil || ix.noPrune {
 		return nil
 	}
 	return &ix.shellTabs[k]
@@ -338,11 +334,21 @@ func (s *Searcher) shellSchedule(t *shellTable) []shellRef {
 // tie-break; and the layer maximum is never skipped (its bucket's bound
 // is ≥ the layer maximum ≥ any threshold), so the Corollary 1
 // finalization bound maxT is exact.
+//
+// Tombstoned rows (delta buffer deletes) stay out of the collector, and
+// their maximum is tracked over the buckets actually scored. That is
+// the layer-wide dead maximum finishLayer's bound needs whenever it
+// matters: a bucket is skipped only with the collector full and its
+// bound below the threshold, so a dead row there scores below the live
+// layer maximum and cannot raise maxT above it.
 func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
 	n := len(sl.pos)
 	s.beginLayer(n)
 	scores := s.ensureScoreBuf(n)
 	ord := s.shellSchedule(t)
+	dead := s.ix.tombstones()
+	var deadMax float64
+	haveDead := false
 	evaluated := 0
 	pruneBound := 0.0
 	for _, ref := range ord {
@@ -354,6 +360,12 @@ func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
 		b := &t.buckets[ref.bi]
 		s.scoreRows(sl, scores, b.lo, b.hi)
 		for i := b.lo; i < b.hi; i++ {
+			if dead != nil && dead.has(sl.pos[i]) {
+				if !haveDead || scores[i] > deadMax {
+					deadMax, haveDead = scores[i], true
+				}
+				continue
+			}
 			s.best.Offer(topk.Item{ID: sl.pos[i], Score: scores[i]})
 		}
 		evaluated += b.hi - b.lo
@@ -363,5 +375,5 @@ func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
 		s.emitTrace(TraceEvent{Kind: TraceShellsPruned, Layer: s.k, Score: pruneBound, Evaluated: skipped})
 	}
 	s.stats.ShellLayers++
-	s.finishLayer(evaluated, 0, false)
+	s.finishLayer(evaluated, deadMax, haveDead)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -602,4 +603,72 @@ func TestShellTableOverask(t *testing.T) {
 	}
 	checkShellTableExact(t, "overask", ix)
 	checkShellTableExact(t, "overask multi-layer", multi)
+}
+
+// TestShellsWithTombstones pins shell pruning under pending deletes in
+// 2D–4D: the shell walk stays on (ShellLayers > 0, records skipped)
+// and answers bit-identically — IDs, score bits and layers — to the
+// same index without shells and to brute force. The deletes include
+// each query's own top records, so a layer's maximum is often a
+// tombstone.
+func TestShellsWithTombstones(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		recs := mkRecords(workload.Points(workload.Uniform, 3000, d, int64(70+d)))
+		shells, err := Build(recs, Options{Shells: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Build(recs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(d)))
+		weights := make([][]float64, 12)
+		for i := range weights {
+			w := make([]float64, d)
+			for j := range w {
+				w[j] = rng.NormFloat64()
+			}
+			weights[i] = w
+		}
+		shells, plain = shells.CloneDelta(), plain.CloneDelta()
+		for _, w := range weights[:6] {
+			top, _, err := shells.TopN(w, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := []uint64{uint64(1 + rng.Intn(len(recs)))}
+			for _, r := range top {
+				ids = append(ids, r.ID)
+			}
+			for _, ix := range []*Index{shells, plain} {
+				if _, err := ix.DeleteDelta(ids, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		live := shells.Records()
+		shellLayers, skipped := 0, 0
+		for _, w := range weights {
+			for _, n := range []int{1, 10, 50} {
+				got, st, err := shells.TopN(w, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shellLayers += st.ShellLayers
+				skipped += st.RecordsSkippedByShells
+				want, _, err := plain.TopN(w, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("d=%d n=%d w=%v: shells %v, plain %v", d, n, w, got, want)
+				}
+				sameRanking(t, "shells with tombstones vs brute", got, bruteRank(live, w)[:n])
+			}
+		}
+		if shellLayers == 0 || skipped == 0 {
+			t.Fatalf("d=%d: tombstones turned the shell walk off (%d shell layers, %d records skipped)", d, shellLayers, skipped)
+		}
+	}
 }

@@ -63,9 +63,11 @@ func (ix *Index) Clone() *Index {
 		}
 	}
 	// The clone owns its base arrays again (shared is deliberately not
-	// carried over), and any pending delta is deep-copied with it.
+	// carried over). The persistent delta is shared, not copied: its
+	// positions index the same base, and neither side writes what the
+	// other sees.
 	if ix.delta != nil {
-		cp.delta = ix.delta.clone()
+		cp.delta = ix.delta.successor()
 	}
 	return cp
 }

@@ -145,17 +145,21 @@ func NewCompactor(recs []core.Record, opt CompactorOptions) (*Compactor, error) 
 	return c, nil
 }
 
-// Attach builds a compactor over the index's current record set and
+// Attach builds a compactor over the index's layered base records and
 // attaches it, so subsequent Compact/CompactedClone calls fold
-// per-cluster. The index must have no pending delta (compact first).
+// per-cluster. A pending delta stays pending: the compactor describes
+// the base (tombstoned records included), and the next fold applies
+// the delta to it — as after a restart whose log replayed into the
+// delta.
 func Attach(ix *core.Index, opt CompactorOptions) (*Compactor, error) {
-	if ix.HasDelta() {
-		return nil, errors.New("hierarchy: attach: delta buffer pending; compact first")
-	}
 	if opt.Build.Parallelism == 0 {
 		opt.Build.Parallelism = ix.Parallelism()
 	}
-	c, err := NewCompactor(ix.Records(), opt)
+	var base []core.Record
+	for k := 0; k < ix.NumLayers(); k++ {
+		base = append(base, ix.Layer(k)...)
+	}
+	c, err := NewCompactor(base, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -380,14 +380,27 @@ func TestAttachGuards(t *testing.T) {
 	if err := ix.InsertDelta(randRecords(rng, 100, 2, 2)); err != nil {
 		t.Fatalf("InsertDelta: %v", err)
 	}
-	if _, err := Attach(ix, CompactorOptions{Clusters: 2}); err == nil {
-		t.Fatal("Attach with pending delta succeeded")
+	if _, err := ix.DeleteDelta([]uint64{recs[0].ID}, false); err != nil {
+		t.Fatalf("DeleteDelta: %v", err)
 	}
+	// A pending delta stays pending: the compactor clusters the base,
+	// the tombstoned record included, and the fold applies the delta.
+	c, err := Attach(ix, CompactorOptions{Clusters: 2})
+	if err != nil {
+		t.Fatalf("Attach with pending delta: %v", err)
+	}
+	if c.Len() != len(recs) {
+		t.Fatalf("compactor holds %d records, want the %d base records", c.Len(), len(recs))
+	}
+	want := ix.ContentFingerprint()
 	if err := ix.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if _, err := Attach(ix, CompactorOptions{Clusters: 2}); err != nil {
-		t.Fatalf("Attach after compact: %v", err)
+	if ix.HasDelta() || ix.ClusterCompactor() == nil {
+		t.Fatalf("fold left delta %v, compactor %v", ix.HasDelta(), ix.ClusterCompactor())
+	}
+	if got := ix.ContentFingerprint(); got != want {
+		t.Fatalf("hierarchical fold changed content: %s, want %s", got, want)
 	}
 	// A compactor for a different record set must be refused.
 	other, err := NewCompactor(randRecords(rng, 500, 10, 2), CompactorOptions{Clusters: 2})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -29,37 +30,26 @@ func sameRanking(a, b []core.Result) bool {
 	return true
 }
 
-// TestDeltaMatchesLegacyServing drives one mutation script through two
-// servers sharing a common seed corpus — one on the incremental delta
-// path, one on the legacy synchronous cascade — and requires every
-// query answer to be bit-identical between them. This is the serving-
-// layer form of the core equivalence property: publish mechanics must
-// be invisible to results.
+// TestDeltaMatchesLegacyServing drives one mutation script through a
+// server on the incremental delta path and through the paper's §3.4
+// batch cascades applied directly to a copy of the same seed corpus,
+// and requires every query answer to be bit-identical between them.
+// This is the serving-layer form of the core equivalence property:
+// publish mechanics must be invisible to results.
 func TestDeltaMatchesLegacyServing(t *testing.T) {
 	const n, d = 300, 3
-	mk := func(threshold int) *Server {
-		s := New(buildIndex(t, n, d, 77), Config{DeltaThreshold: threshold})
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			s.Close(ctx)
-		})
-		return s
-	}
 	// A huge threshold keeps every mutation in the delta buffer for the
-	// whole test; -1 re-cascades synchronously.
-	delta, legacy := mk(1<<20), mk(-1)
+	// whole test.
+	delta := New(buildIndex(t, n, d, 77), Config{DeltaThreshold: 1 << 20})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		delta.Close(ctx)
+	})
+	legacy := buildIndex(t, n, d, 77)
 
 	ctx := context.Background()
 	extra := workload.Points(workload.Uniform, 60, d, 99)
-	step := func(i int, do func(s *Server) error) {
-		t.Helper()
-		for _, s := range []*Server{delta, legacy} {
-			if err := do(s); err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-		}
-	}
 	weights := [][]float64{{0.5, 0.3, 0.2}, {1, 0, 0}, {-0.4, 1.2, 0.1}}
 	check := func(i int) {
 		t.Helper()
@@ -69,7 +59,7 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: delta topn: %v", i, err)
 				}
-				lr, _, err := legacy.Snapshot().TopN(w, nn)
+				lr, _, err := legacy.TopN(w, nn)
 				if err != nil {
 					t.Fatalf("step %d: legacy topn: %v", i, err)
 				}
@@ -80,28 +70,32 @@ func TestDeltaMatchesLegacyServing(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
+		var err, lerr error
 		switch i % 4 {
 		case 0, 1: // insert a few fresh records
 			recs := []core.Record{
 				{ID: uint64(50000 + 2*i), Vector: extra[(2*i)%len(extra)]},
 				{ID: uint64(50000 + 2*i + 1), Vector: extra[(2*i+1)%len(extra)]},
 			}
-			step(i, func(s *Server) error { return s.Insert(ctx, recs) })
+			err, lerr = delta.Insert(ctx, recs), legacy.InsertBatch(recs)
 		case 2: // delete a seed record still present on both
-			step(i, func(s *Server) error { return s.Delete(ctx, []uint64{uint64(3*i + 1)}) })
+			ids := []uint64{uint64(3*i + 1)}
+			err, lerr = delta.Delete(ctx, ids), legacy.DeleteBatch(ids)
 		case 3: // missing-ok delete mixing present and absent IDs
-			step(i, func(s *Server) error {
-				_, err := s.DeleteIfPresent(ctx, []uint64{uint64(3*i + 2), 888888})
-				return err
-			})
+			var applied int
+			applied, err = delta.DeleteIfPresent(ctx, []uint64{uint64(3*i + 2), 888888})
+			if applied != 1 {
+				t.Fatalf("step %d: missing-ok delete applied %d, want 1", i, applied)
+			}
+			lerr = legacy.DeleteBatch([]uint64{uint64(3*i + 2)})
+		}
+		if err != nil || lerr != nil {
+			t.Fatalf("step %d: delta %v, legacy %v", i, err, lerr)
 		}
 		check(i)
 	}
 	if !delta.Snapshot().HasDelta() {
 		t.Fatal("delta server folded its buffer; the test exercised nothing")
-	}
-	if legacy.Snapshot().HasDelta() {
-		t.Fatal("legacy server grew a delta buffer")
 	}
 }
 
@@ -231,6 +225,83 @@ func TestCompactionFoldsDeltaUnderLoad(t *testing.T) {
 		}
 		if !sameRanking(got, want) {
 			t.Fatalf("post-compaction ranking diverges from rebuild for weights %v", w)
+		}
+	}
+}
+
+// TestNewFoldsRecoveredDeltaPastThreshold restarts a durable server
+// whose log holds more mutations than the fold threshold: recovery
+// replays them into the delta, and New publishes one background fold
+// with no further mutation to trigger it. The fold changes no answer.
+func TestNewFoldsRecoveredDeltaPastThreshold(t *testing.T) {
+	const n, d, threshold = 300, 3, 16
+	dir := t.TempDir()
+	cfg := wal.Config{Options: core.Options{Seed: 1}}
+	mgr, _, err := wal.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Bootstrap(buildIndex(t, n, d, 61)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := New(buildIndex(t, n, d, 61), Config{WAL: mgr, DeltaThreshold: 1 << 20})
+	extra := workload.Points(workload.Uniform, 2*threshold, d, 62)
+	for i, v := range extra {
+		if err := s.Insert(ctx, []core.Record{{ID: uint64(10_000 + i), Vector: v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(ctx, []uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil { // no checkpoint: the restart replays
+		t.Fatal(err)
+	}
+
+	mgr2, rec, err := wal.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	if rec.DeltaLen() < threshold {
+		t.Fatalf("recovered delta %d, want at least %d", rec.DeltaLen(), threshold)
+	}
+	weights := [][]float64{{0.5, 0.3, 0.2}, {-1, 0.4, 0.9}}
+	var want [][]core.Result
+	for _, w := range weights {
+		r, _, err := rec.TopN(w, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	s2 := New(rec, Config{WAL: mgr2, DeltaThreshold: threshold})
+	defer s2.Close(ctx)
+	deadline := time.Now().Add(10 * time.Second)
+	for s2.metrics.compactions.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no fold published within 10s of New")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := s2.metrics.snapshotSwaps.Value(); got != 1 {
+		t.Fatalf("%d snapshot swaps, want the one fold", got)
+	}
+	snap := s2.Snapshot()
+	if snap.HasDelta() {
+		t.Fatal("the fold left a delta")
+	}
+	for i, w := range weights {
+		got, _, err := snap.TopN(w, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRanking(got, want[i]) {
+			t.Fatalf("weights %v: folded answers differ from the recovered delta's", w)
 		}
 	}
 }

@@ -13,17 +13,19 @@
 // once and run entirely against that immutable snapshot; they never
 // block and never observe a partially applied change. All mutations
 // funnel through a single mutator goroutine that coalesces pending
-// operations into a batch, applies them to a private Clone of the
-// current snapshot (reusing the batch cascades of core's maintain.go),
-// and publishes the result with one pointer swap. Readers see either
-// the old snapshot or the new one — never a torn index.
+// operations into a batch, applies them to the delta buffer of a
+// shallow clone of the current snapshot (core.CloneDelta, which shares
+// the layered base and the persistent delta, so a publish costs the
+// batch, not the index), and publishes the result with one pointer
+// swap. Readers see either the old snapshot or the new one — never a
+// torn index. A background fold re-layers the delta once it crosses
+// Config.DeltaThreshold.
 //
-// The trade-off versus fine-grained locking: mutations pay a full
-// index copy (O(n) pointers, not O(n) vectors — attribute data is
-// shared) and queries may serve slightly stale data during a rebuild,
-// but the query path is wait-free and the mutation path amortizes its
-// cost across every operation coalesced into the batch. For a
-// read-dominated top-N service this is the right corner of the space.
+// The trade-off versus fine-grained locking: queries may serve
+// slightly stale data until a publish, but the query path is wait-free
+// and the mutation path amortizes its cost across every operation
+// coalesced into the batch. For a read-dominated top-N service this is
+// the right corner of the space.
 package server
 
 import (
@@ -78,14 +80,10 @@ type Config struct {
 	// DeltaThreshold is the pending-mutation count (delta inserts plus
 	// tombstones) at which the mutator schedules a background
 	// compaction folding the delta buffer back into the layered base.
-	// With the incremental write path (the default), mutations land in
-	// an unlayered delta buffer on an O(delta) shallow clone and are
-	// merged into every query on the total order, so publish latency is
-	// independent of corpus size; compaction re-hulls off the publish
-	// path. 0 means 4096. Negative disables the delta path entirely:
-	// every batch deep-clones and re-cascades synchronously (the
-	// pre-delta behavior, kept for comparison and for workloads that
-	// want every snapshot fully layered).
+	// Mutations land in an unlayered delta buffer on an O(batch)
+	// shallow clone and are merged into every query on the total order,
+	// so publish latency is independent of corpus size; compaction
+	// re-hulls off the publish path. 0 (or negative) means 4096.
 	DeltaThreshold int
 	// Shells enables the spherical-shell index mode (paper Section 6)
 	// on the served index: each layer's columnar slab is ordered by
@@ -116,7 +114,7 @@ func (c *Config) withDefaults() Config {
 	if out.QueryTimeout == 0 {
 		out.QueryTimeout = 30 * time.Second
 	}
-	if out.DeltaThreshold == 0 {
+	if out.DeltaThreshold <= 0 {
 		out.DeltaThreshold = DefaultDeltaThreshold
 	}
 	return out
@@ -195,7 +193,9 @@ func (s *Server) SetReady(v bool) { s.ready.Store(v) }
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // New wraps ix in a serving layer. The caller must not mutate ix after
-// handing it over; the server owns it from here on.
+// handing it over; the server owns it from here on. An index whose
+// delta is already at the threshold — a restart that replayed a long
+// log into it — starts its background fold right away.
 func New(ix *core.Index, cfg Config) *Server {
 	c := cfg.withDefaults()
 	s := &Server{
@@ -226,6 +226,7 @@ func New(ix *core.Index, cfg Config) *Server {
 	}
 	s.snap.Store(ix)
 	s.ready.Store(true)
+	s.maybeStartCompaction(ix)
 	go s.mutator()
 	return s
 }
@@ -347,111 +348,48 @@ func (s *Server) drainCompaction() {
 // apply runs one batch: clone once, apply each operation in arrival
 // order, swap once, then release the callers. Replies are sent only
 // after the swap so a caller that saw success can immediately read its
-// own write.
-//
-// Each op must be individually atomic in the published snapshot, but
-// InsertBatch/DeleteBatch do not guarantee that on the index itself:
-// their cascades can fail after allocations and layer truncation,
-// leaving the clone partially mutated. When an op errors, the clone is
-// therefore discarded and rebuilt from the published base by replaying
-// the ops that already succeeded — replay on identical state is
-// deterministic (hull joggling is seeded), so they succeed again. The
-// happy path still pays exactly one clone.
+// own write. The delta mutators are individually atomic
+// (validate-all-then-apply), so a failed op simply leaves the clone as
+// the previous op left it.
 func (s *Server) apply(batch []op) {
 	start := time.Now()
-	deltaMode := s.cfg.DeltaThreshold >= 0
-	base := s.snap.Load()
-	var next *core.Index
-	if deltaMode {
-		// O(delta) publish: the shallow clone shares every base array and
-		// mutations land in the delta buffer, so this batch costs its own
-		// size, not the corpus's. The delta mutators are individually
-		// atomic (validate-all-then-apply), so a failed op simply leaves
-		// the clone as the previous op left it — no replay needed.
-		next = base.CloneDelta()
-	} else {
-		next = base.Clone()
-	}
+	// O(batch) publish: the shallow clone shares the base arrays and the
+	// persistent delta, and mutations land in the delta buffer.
+	next := s.snap.Load().CloneDelta()
 	results := make([]opResult, len(batch))
-	// effDel[i] is the delete set op i actually applied: for missing-ok
+	// The WAL frames and the compaction journal both carry the batch's
+	// surviving operations in their effective form: for missing-ok
 	// deletes, the present subset resolved against the clone being
-	// mutated. The WAL logs this effective set, not the requested one —
-	// logging skipped IDs would make crash replay fail on not-found.
-	effDel := make([][]uint64, len(batch))
-	applied := 0
-	applyOp := func(ix *core.Index, i int, o op) (int, error) {
+	// mutated — logging skipped IDs would make crash replay fail on
+	// not-found.
+	var muts []wal.Mutation
+	for i, o := range batch {
+		var m wal.Mutation
+		var err error
 		switch {
 		case len(o.insert) > 0:
-			var err error
-			if deltaMode {
-				err = ix.InsertDelta(o.insert)
-			} else {
-				err = ix.InsertBatch(o.insert)
+			if err = next.InsertDelta(o.insert); err == nil {
+				m.Insert = o.insert
 			}
-			if err != nil {
-				return 0, err
-			}
-			return len(o.insert), nil
 		case len(o.del) > 0:
 			ids := o.del
 			if o.delMissingOK {
-				ids = presentIDs(ix, o.del)
-				if len(ids) == 0 {
-					effDel[i] = nil
-					return 0, nil
+				ids = presentIDs(next, o.del)
+			}
+			if len(ids) > 0 {
+				if _, err = next.DeleteDelta(ids, false); err == nil {
+					m.Delete = ids
 				}
 			}
-			var err error
-			if deltaMode {
-				_, err = ix.DeleteDelta(ids, false)
-			} else {
-				err = ix.DeleteBatch(ids)
-			}
-			if err != nil {
-				effDel[i] = nil
-				return 0, err
-			}
-			effDel[i] = ids
-			return len(ids), nil
 		}
-		return 0, nil
-	}
-	for i, o := range batch {
-		n, err := applyOp(next, i, o)
+		n := len(m.Insert) + len(m.Delete)
 		results[i] = opResult{applied: n, err: err}
-		if err == nil && n > 0 {
-			applied++
+		if n > 0 {
+			muts = append(muts, m)
 		}
 		s.metrics.mutationOps.Add(1)
 		if err != nil {
 			s.metrics.mutationErrors.Add(1)
-			if !deltaMode {
-				// InsertBatch/DeleteBatch cascades can fail after partial
-				// mutation; discard the torn clone and replay the survivors.
-				next = base.Clone()
-				for j := 0; j < i; j++ {
-					if results[j].err == nil {
-						applyOp(next, j, batch[j])
-					}
-				}
-			}
-		}
-	}
-	// The WAL frames and the compaction journal both carry the batch's
-	// surviving operations in their effective form.
-	var muts []wal.Mutation
-	if applied > 0 && (s.cfg.WAL != nil || deltaMode) {
-		muts = make([]wal.Mutation, 0, applied)
-		for i, o := range batch {
-			if results[i].err != nil || results[i].applied == 0 {
-				continue
-			}
-			switch {
-			case len(o.insert) > 0:
-				muts = append(muts, wal.Mutation{Insert: o.insert})
-			case len(o.del) > 0:
-				muts = append(muts, wal.Mutation{Delete: effDel[i]})
-			}
 		}
 	}
 	// Durability barrier: the batch's surviving operations are logged
@@ -459,7 +397,7 @@ func (s *Server) apply(batch []op) {
 	// group commit before the snapshot becomes visible. A failed commit
 	// aborts the publish — callers must never see success for a write
 	// that would not be replayed after a crash.
-	if applied > 0 && s.cfg.WAL != nil {
+	if len(muts) > 0 && s.cfg.WAL != nil {
 		commitStart := time.Now()
 		if err := s.cfg.WAL.CommitBatch(muts, next); err != nil {
 			s.metrics.walCommitErrors.Add(1)
@@ -468,13 +406,13 @@ func (s *Server) apply(batch []op) {
 					results[i].err = fmt.Errorf("server: wal commit: %w", err)
 				}
 			}
-			applied = 0
+			muts = nil
 		} else {
 			s.metrics.walCommits.Add(1)
 			s.metrics.walCommitLatency.Observe(time.Since(commitStart))
 		}
 	}
-	if applied > 0 {
+	if len(muts) > 0 {
 		s.snap.Store(next)
 		// Cache epoch bump strictly between the snapshot publish and the
 		// caller replies: queries read the epoch before loading their
@@ -487,14 +425,12 @@ func (s *Server) apply(batch []op) {
 		s.metrics.snapshotSwaps.Add(1)
 		s.metrics.rebuildNanos.Add(time.Since(start).Nanoseconds())
 		s.metrics.mutateLatency.Observe(time.Since(start))
-		if deltaMode {
-			if s.compacting {
-				// A compaction is folding an older base; journal this batch
-				// so the compacted index can catch up before it is published.
-				s.journal = append(s.journal, muts...)
-			}
-			s.maybeStartCompaction(next)
+		if s.compacting {
+			// A compaction is folding an older base; journal this batch
+			// so the compacted index can catch up before it is published.
+			s.journal = append(s.journal, muts...)
 		}
+		s.maybeStartCompaction(next)
 	}
 	for i, o := range batch {
 		o.reply <- results[i]
@@ -504,10 +440,10 @@ func (s *Server) apply(batch []op) {
 // maybeStartCompaction launches a background fold of cur's delta
 // buffer into its layered base once the buffer crosses the threshold.
 // The CompactedClone runs off the mutator goroutine — queries keep
-// serving cur, mutations keep publishing O(delta) batches on top of it
+// serving cur, mutations keep publishing O(batch) batches on top of it
 // — and the result returns through compactCh to finishCompaction.
 func (s *Server) maybeStartCompaction(cur *core.Index) {
-	if s.compacting || s.cfg.DeltaThreshold <= 0 || cur.DeltaLen() < s.cfg.DeltaThreshold {
+	if s.compacting || cur.DeltaLen() < s.cfg.DeltaThreshold {
 		return
 	}
 	s.compacting = true
@@ -548,14 +484,7 @@ func (s *Server) finishCompaction(res foldResult) {
 		return // compaction failed; keep serving the delta-carrying chain
 	}
 	for _, m := range journal {
-		var err error
-		switch {
-		case len(m.Insert) > 0:
-			err = compacted.InsertDelta(m.Insert)
-		case len(m.Delete) > 0:
-			_, err = compacted.DeleteDelta(m.Delete, false)
-		}
-		if err != nil {
+		if err := m.ApplyDelta(compacted); err != nil {
 			// Cannot happen while the journal invariant holds; refuse to
 			// publish a snapshot that lost a mutation and keep the current
 			// (correct, merely uncompacted) chain.

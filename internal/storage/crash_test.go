@@ -22,7 +22,7 @@ func TestWriteSurvivesCrash(t *testing.T) {
 	if err := fs.MkdirAll("/data", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFS(fs, "/data/index.onion", ix, nil); err != nil {
+	if _, err := WriteFS(fs, "/data/index.onion", ix, nil); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash()

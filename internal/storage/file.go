@@ -13,7 +13,8 @@ import (
 // delta buffer is folded into the saved layers). The write is atomic
 // and crash-durable: see WriteFS.
 func Write(path string, ix *core.Index) error {
-	return WriteFS(vfs.OS{}, path, ix, nil)
+	_, err := WriteFS(vfs.OS{}, path, ix, nil)
+	return err
 }
 
 // WriteFS is Write against an explicit filesystem (the seam the crash
@@ -28,32 +29,36 @@ func Write(path string, ix *core.Index) error {
 // but not against power loss: without the temp-file fsync the new name
 // can point at zero-filled pages after a crash, and without the
 // directory fsync the rename itself may not survive. Either omission
-// loses a "saved" index; TestWriteSurvivesCrash pins both.
-func WriteFS(fsys vfs.FS, path string, ix *core.Index, aux []byte) error {
+// loses a "saved" index; TestWriteSurvivesCrash pins both. It returns
+// the size of the file written.
+func WriteFS(fsys vfs.FS, path string, ix *core.Index, aux []byte) (int64, error) {
 	data, err := MarshalV2(ix, aux)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return err
+		return 0, err
 	}
-	return fsys.SyncDir(filepath.Dir(path))
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return 0, err
+	}
+	return int64(len(data)), nil
 }
 
 // Load reads an index file fully back into a mutable in-memory

@@ -20,7 +20,7 @@ import (
 func writeMappedFixture(t *testing.T, ix *core.Index, aux []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "checkpoint-test.onion")
-	if err := WriteFS(vfs.OS{}, path, ix, aux); err != nil {
+	if _, err := WriteFS(vfs.OS{}, path, ix, aux); err != nil {
 		t.Fatal(err)
 	}
 	return path

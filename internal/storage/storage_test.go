@@ -42,8 +42,12 @@ func readFile(t *testing.T, path string) []byte {
 func writeFile(t *testing.T, ix *core.Index, aux []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.onion")
-	if err := WriteFS(vfs.OS{}, path, ix, aux); err != nil {
+	size, err := WriteFS(vfs.OS{}, path, ix, aux)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := int64(len(readFile(t, path))); got != size {
+		t.Fatalf("WriteFS reported %d bytes, wrote %d", size, got)
 	}
 	return path
 }

@@ -39,11 +39,8 @@ func buildIndex(t testing.TB, n, d int, seed int64) *core.Index {
 }
 
 // durableServer couples a server to a WAL manager on the given
-// filesystem, bootstrapping from a fresh build. deltaThreshold selects
-// the write path: -1 for the legacy synchronous cascade (every
-// published snapshot fully layered, so layer-partition fingerprints
-// are a recovery oracle), positive for the incremental delta path
-// (recovery re-cascades, so only content is comparable).
+// filesystem, bootstrapping from a fresh build, with the given fold
+// threshold (0 = the server default).
 func durableServer(t *testing.T, fs vfs.FS, dir string, n, d int, seed int64, deltaThreshold int) (*server.Server, *wal.Manager, *core.Index) {
 	t.Helper()
 	mgr, rec, err := wal.Open(dir, wal.Config{FS: fs, CheckpointBytes: -1, Options: core.Options{Seed: seed}})
@@ -102,9 +99,10 @@ func writeDurable(t *testing.T, fs *vfs.CrashFS, dir, name string, data []byte) 
 // runSerialOps drives mutations through the serving layer one at a
 // time — each op is one publish and one WAL record — and returns the
 // published fingerprint after each op, with fps[0] the pre-op state.
-// fp selects the oracle: (*core.Index).Fingerprint for the legacy
-// fully-layered write path, (*core.Index).ContentFingerprint for the
-// delta path (where recovery re-cascades and only content matches).
+// fp selects the oracle: (*core.Index).Fingerprint, which covers the
+// delta, wherever no fold ran since the checkpoint (recovery rebuilds
+// exactly the published delta), (*core.Index).ContentFingerprint where
+// one did (recovery replays onto the checkpoint, not onto the fold).
 func runSerialOps(t *testing.T, s *server.Server, base *core.Index, d, ops int, fp func(*core.Index) string) []string {
 	t.Helper()
 	ctx := context.Background()
@@ -130,6 +128,28 @@ func runSerialOps(t *testing.T, s *server.Server, base *core.Index, d, ops int, 
 	return fps
 }
 
+// foldThenDelta returns the fingerprints recovery must produce after a
+// checkpoint of snap followed by tail, one logged insert each:
+// fps[0] is the checkpoint's fold of snap's delta (CompactedClone, as
+// the manager writes it), and fps[i] that fold with the first i tail
+// records applied through its delta buffer, one publish each.
+func foldThenDelta(t *testing.T, snap *core.Index, tail []core.Record) []string {
+	t.Helper()
+	cur, err := snap.CompactedClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := []string{cur.Fingerprint()}
+	for _, r := range tail {
+		cur = cur.CloneDelta()
+		if err := cur.InsertDelta([]core.Record{r}); err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, cur.Fingerprint())
+	}
+	return fps
+}
+
 // TestCrashAtEveryWALOffset is the acceptance torture test. A server
 // publishes N serial mutations through the group-commit path; then,
 // for EVERY byte offset of the log's record region, a crashed disk
@@ -141,7 +161,7 @@ func TestCrashAtEveryWALOffset(t *testing.T) {
 	const dim = 2
 	const ops = 8
 	fs := vfs.NewCrashFS()
-	s, _, base := durableServer(t, fs, "/data", 120, dim, 17, -1)
+	s, _, base := durableServer(t, fs, "/data", 120, dim, 17, 0)
 	fps := runSerialOps(t, s, base, dim, ops, (*core.Index).Fingerprint)
 
 	// Power loss: no Close, no final checkpoint.
@@ -197,21 +217,26 @@ func TestCrashAfterMidwayCheckpoint(t *testing.T) {
 	const dim = 2
 	const before, after = 4, 4
 	fs := vfs.NewCrashFS()
-	s, mgr, base := durableServer(t, fs, "/data", 100, dim, 23, -1)
-	fps := runSerialOps(t, s, base, dim, before, (*core.Index).Fingerprint)
+	s, mgr, base := durableServer(t, fs, "/data", 100, dim, 23, 0)
+	runSerialOps(t, s, base, dim, before, (*core.Index).Fingerprint)
 	if err := mgr.Checkpoint(s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.Seq() != 2 {
 		t.Fatalf("epoch %d after forced checkpoint, want 2", mgr.Seq())
 	}
-	ctx := context.Background()
+	// The checkpoint holds the fold of the snapshot's delta; each tail
+	// record replays into that fold's delta.
+	var tail []core.Record
 	for i := 0; i < after; i++ {
-		rec := core.Record{ID: uint64(20000 + i), Vector: []float64{float64(i) + 0.5, -float64(i)}}
+		tail = append(tail, core.Record{ID: uint64(20000 + i), Vector: []float64{float64(i) + 0.5, -float64(i)}})
+	}
+	fps := foldThenDelta(t, s.Snapshot(), tail)
+	ctx := context.Background()
+	for _, rec := range tail {
 		if err := s.Insert(ctx, []core.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
-		fps = append(fps, s.Snapshot().Fingerprint())
 	}
 
 	fs.Crash()
@@ -241,11 +266,9 @@ func TestCrashAfterMidwayCheckpoint(t *testing.T) {
 		if err != nil || rec == nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		// The checkpoint pins state `before`; each complete tail record
-		// advances one state past it.
-		if got := rec.Fingerprint(); got != fps[before+complete] {
+		if got := rec.Fingerprint(); got != fps[complete] {
 			t.Fatalf("cut %d (%d complete tail records): fingerprint %s, want %s",
-				cut, complete, got, fps[before+complete])
+				cut, complete, got, fps[complete])
 		}
 	}
 }
@@ -269,7 +292,7 @@ func TestRestartServesIdenticalTopN(t *testing.T) {
 	if err := mgr.Bootstrap(base); err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(base, server.Config{WAL: mgr, DeltaThreshold: -1})
+	s := server.New(base, server.Config{WAL: mgr})
 	ts := httptest.NewServer(s.Handler())
 
 	ctx := context.Background()
@@ -313,7 +336,7 @@ func TestRestartServesIdenticalTopN(t *testing.T) {
 	if got := rec2.Fingerprint(); got != wantFp {
 		t.Fatalf("recovered fingerprint %s, want %s", got, wantFp)
 	}
-	s2 := server.New(rec2, server.Config{WAL: mgr2, DeltaThreshold: -1})
+	s2 := server.New(rec2, server.Config{WAL: mgr2})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer func() {
 		ts2.Close()
@@ -327,19 +350,17 @@ func TestRestartServesIdenticalTopN(t *testing.T) {
 }
 
 // TestCrashAtEveryWALOffsetDeltaMode repeats the byte-offset torture
-// with the incremental write path active: every published snapshot
-// carries its mutations in the delta buffer, and the WAL frames those
-// delta-buffered operations exactly as it frames cascaded ones.
-// Recovery replays through the synchronous cascades, so the recovered
-// layer partition differs from the live delta-carrying snapshot by
-// construction — the oracle is logical content (and, at the full
-// prefix, bit-identical query answers), not layer structure.
+// with a fold threshold no op reaches: every published snapshot
+// carries its mutations in the delta buffer, and recovery replays the
+// log into the checkpoint's delta, so at every cut the recovered index
+// fingerprints — layers and delta — as the published state, and at the
+// full prefix ranks bit-identically to the live snapshot.
 func TestCrashAtEveryWALOffsetDeltaMode(t *testing.T) {
 	const dim = 2
 	const ops = 8
 	fs := vfs.NewCrashFS()
 	s, _, base := durableServer(t, fs, "/data", 120, dim, 17, 1<<20)
-	fps := runSerialOps(t, s, base, dim, ops, (*core.Index).ContentFingerprint)
+	fps := runSerialOps(t, s, base, dim, ops, (*core.Index).Fingerprint)
 	live := s.Snapshot()
 	if !live.HasDelta() {
 		t.Fatal("delta-mode server published a snapshot with no pending delta")
@@ -381,13 +402,13 @@ func TestCrashAtEveryWALOffsetDeltaMode(t *testing.T) {
 		if rec == nil {
 			t.Fatalf("cut %d: no state recovered", cut)
 		}
-		if got := rec.ContentFingerprint(); got != fps[complete] {
-			t.Fatalf("cut %d (%d complete records): content fingerprint %s, want %s",
+		if got := rec.Fingerprint(); got != fps[complete] {
+			t.Fatalf("cut %d (%d complete records): fingerprint %s, want %s",
 				cut, complete, got, fps[complete])
 		}
 		if cut == len(body) {
-			// Full durable prefix: the recovered (fully layered) index must
-			// rank bit-identically to the live delta-carrying snapshot.
+			// Full durable prefix: the recovered index must rank
+			// bit-identically to the live delta-carrying snapshot.
 			w := []float64{0.6, 0.4}
 			want, _, _ := live.TopN(w, 15)
 			got, _, _ := rec.TopN(w, 15)
@@ -409,12 +430,14 @@ func TestCrashAtEveryWALOffsetDeltaMode(t *testing.T) {
 // snapshot still carries unfolded delta records and tombstones. The
 // on-disk layer format cannot represent a delta, so the manager must
 // fold a compacted copy — losing the delta inserts or resurrecting
-// tombstoned records here would corrupt every later recovery.
+// tombstoned records here would corrupt every later recovery. The
+// recovered state is exactly that fold with the log's tail in its
+// delta, and its content is the live snapshot's.
 func TestCheckpointWithPendingDelta(t *testing.T) {
 	const dim = 2
 	fs := vfs.NewCrashFS()
 	s, mgr, base := durableServer(t, fs, "/data", 100, dim, 23, 1<<20)
-	fps := runSerialOps(t, s, base, dim, 6, (*core.Index).ContentFingerprint)
+	runSerialOps(t, s, base, dim, 6, (*core.Index).Fingerprint)
 	snap := s.Snapshot()
 	if !snap.HasDelta() {
 		t.Fatal("expected a pending delta before the forced checkpoint")
@@ -426,13 +449,18 @@ func TestCheckpointWithPendingDelta(t *testing.T) {
 		t.Fatal("checkpoint must not mutate the snapshot it persists")
 	}
 	// A few more delta-buffered ops land in the post-checkpoint log.
-	ctx := context.Background()
+	var tail []core.Record
 	for i := 0; i < 3; i++ {
-		rec := core.Record{ID: uint64(30000 + i), Vector: []float64{float64(i) + 0.25, -float64(i)}}
+		tail = append(tail, core.Record{ID: uint64(30000 + i), Vector: []float64{float64(i) + 0.25, -float64(i)}})
+	}
+	fps := foldThenDelta(t, snap, tail)
+	contents := []string{snap.ContentFingerprint()}
+	ctx := context.Background()
+	for _, rec := range tail {
 		if err := s.Insert(ctx, []core.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
-		fps = append(fps, s.Snapshot().ContentFingerprint())
+		contents = append(contents, s.Snapshot().ContentFingerprint())
 	}
 
 	fs.Crash()
@@ -461,11 +489,13 @@ func TestCheckpointWithPendingDelta(t *testing.T) {
 		if err != nil || rec == nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		// The checkpoint pins the state after 6 ops (delta folded in);
-		// each complete tail record advances one state past it.
-		if got := rec.ContentFingerprint(); got != fps[6+complete] {
+		if got := rec.Fingerprint(); got != fps[complete] {
+			t.Fatalf("cut %d (%d complete tail records): fingerprint %s, want %s",
+				cut, complete, got, fps[complete])
+		}
+		if got := rec.ContentFingerprint(); got != contents[complete] {
 			t.Fatalf("cut %d (%d complete tail records): content fingerprint %s, want %s",
-				cut, complete, got, fps[6+complete])
+				cut, complete, got, contents[complete])
 		}
 		m2.Close()
 	}

@@ -3,8 +3,8 @@
 // carries a hierarchy.Compactor and whose delta threshold is low
 // enough that background per-cluster folds are in flight while the
 // mutation stream commits. The WAL never frames a fold (compaction is
-// derived state), so recovery — which replays the log through the
-// synchronous cascades onto a flat index — must land on the identical
+// derived state), so recovery — which replays the log into the delta
+// of the flat bootstrap checkpoint — must land on the identical
 // logical content at every cut, whatever the fold timing was.
 package wal_test
 
@@ -131,4 +131,80 @@ func TestCrashAtEveryWALOffsetHierarchicalCompaction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = s.Close(ctx)
+}
+
+// TestHierarchicalAttachAfterReplay is onionserve's -hier-compaction
+// restart over a checkpoint that carries no cluster spec: the log
+// replays an insert and a delete into the recovered delta, Attach
+// clusters the layered base with that delta pending, and the first
+// fold is hierarchical and changes no answer.
+func TestHierarchicalAttachAfterReplay(t *testing.T) {
+	dir := t.TempDir()
+	const dim = 3
+	cfg := wal.Config{Options: core.Options{Seed: 19}}
+	mgr, _, err := wal.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := buildIndex(t, 300, dim, 19)
+	if err := mgr.Bootstrap(base); err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(base, server.Config{WAL: mgr})
+	ctx := context.Background()
+	if err := s.Insert(ctx, []core.Record{{ID: 9000, Vector: []float64{3, -1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(ctx, []uint64{7}); err != nil {
+		t.Fatal(err)
+	}
+	live := s.Snapshot()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil { // no checkpoint: restart replays
+		t.Fatal(err)
+	}
+
+	mgr2, rec, err := wal.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	if rec.ClusterCompactor() != nil || rec.DeltaLen() != 2 {
+		t.Fatalf("recovered compactor %v, delta %d; want none and 2", rec.ClusterCompactor(), rec.DeltaLen())
+	}
+	c, err := hierarchy.Attach(rec, hierarchy.CompactorOptions{Clusters: 3, Seed: 19})
+	if err != nil {
+		t.Fatalf("Attach over the replayed delta: %v", err)
+	}
+	if c.Len() != 300 {
+		t.Fatalf("compactor clusters %d records, want the 300 base records", c.Len())
+	}
+	folded, err := rec.CompactedClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, ok := folded.ClusterCompactor().(*hierarchy.Compactor)
+	if !ok || folded.HasDelta() {
+		t.Fatalf("fold left compactor %T, delta %v", folded.ClusterCompactor(), folded.HasDelta())
+	}
+	if st := fc.Stats(); st.Inserts != 1 || st.Deletes != 1 || st.Refolded == 0 {
+		t.Fatalf("fold stats %+v, want one insert and one delete refolded", st)
+	}
+	if got, want := folded.ContentFingerprint(), live.ContentFingerprint(); got != want {
+		t.Fatalf("folded content %s, want %s", got, want)
+	}
+	for _, w := range [][]float64{{0.6, 0.4, 0.1}, {-1, 0.2, 0.7}} {
+		want, _, _ := live.TopN(w, 20)
+		got, _, _ := folded.TopN(w, 20)
+		if len(got) != len(want) {
+			t.Fatalf("folded top-20 has %d results, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+				t.Fatalf("folded rank %d = (%d, %v), live = (%d, %v)", i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			}
+		}
+	}
 }

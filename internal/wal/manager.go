@@ -77,9 +77,9 @@ type Config struct {
 	CheckpointBytes int64
 	// Options is passed to the checkpoint decoder when a checkpoint is
 	// loaded, carrying the tolerance/seed/parallelism the recovered
-	// index should use for subsequent maintenance. Must match the
-	// options of the index whose mutations were logged, or replay
-	// determinism is lost.
+	// index uses for its folds. Replay itself runs no hull, so it is
+	// exact under any options; folds re-layer identically only under
+	// the options of the index whose mutations were logged.
 	Options core.Options
 	// Mmap serves the recovered checkpoint from a memory mapping
 	// (storage.MappedV2) instead of decoding it onto the heap: restart
@@ -336,17 +336,13 @@ func (m *Manager) recoverLog(ix *core.Index) error {
 	muts, valid := Replay(data[HeaderSize:], dim)
 	for i, mu := range muts {
 		// A committed record was applied successfully before the crash,
-		// so replaying it on the same base state must succeed; a failure
-		// here means the pairing is corrupt, not torn.
-		var aerr error
-		switch {
-		case len(mu.Insert) > 0:
-			aerr = ix.InsertBatch(mu.Insert)
-		case len(mu.Delete) > 0:
-			aerr = ix.DeleteBatch(mu.Delete)
-		}
-		if aerr != nil {
-			return fmt.Errorf("wal: replaying record %d of %d: %w", i+1, len(muts), aerr)
+		// so replaying it on the same logical state must succeed; a
+		// failure here means the pairing is corrupt, not torn. Replay goes
+		// through the delta buffer, as the serving layer applied it: no
+		// hull work, and the recovered index is the checkpoint's layers
+		// plus the delta the server had published.
+		if err := mu.ApplyDelta(ix); err != nil {
+			return fmt.Errorf("wal: replaying record %d of %d: %w", i+1, len(muts), err)
 		}
 	}
 	m.replayed.Add(int64(len(muts)))
@@ -529,10 +525,11 @@ func (m *Manager) rotateLocked(ix *core.Index) error {
 	cpPath := filepath.Join(m.dir, checkpointName(next))
 	if ix.HasDelta() {
 		// The on-disk format stores layers only, so the delta is folded
-		// into a private compacted copy — the logical state (and hence
-		// recovery) is unchanged. storage.WriteFS would fold on its own;
-		// folding here first makes the compactor spec below describe
-		// the folded layers the checkpoint holds.
+		// into a private compacted copy — the logical state is unchanged,
+		// and the next recovery replays the new log into that fold's
+		// delta. storage.WriteFS would fold on its own; folding here
+		// first makes the compactor spec below describe the folded
+		// layers the checkpoint holds.
 		folded, err := ix.CompactedClone()
 		if err != nil {
 			return fmt.Errorf("wal: checkpoint %d: compact delta: %w", next, err)
@@ -551,12 +548,11 @@ func (m *Manager) rotateLocked(ix *core.Index) error {
 			}
 		}
 	}
-	if err := storage.WriteFS(m.fs, cpPath, ix, aux); err != nil {
+	size, err := storage.WriteFS(m.fs, cpPath, ix, aux)
+	if err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", next, err)
 	}
-	if data, err := m.fs.ReadFile(cpPath); err == nil {
-		m.checkpointBytes.Store(int64(len(data)))
-	}
+	m.checkpointBytes.Store(size)
 	old := m.seq
 	oldWal := m.wal
 	m.seq = next

@@ -12,11 +12,12 @@
 // acknowledged only after its log record is on stable storage (per the
 // configured fsync mode), and replaying checkpoint + log prefix always
 // reproduces exactly some previously published snapshot — never a torn
-// one, never a future one. Replays reproduce snapshots bit-for-bit at
-// the layer-partition level because index maintenance is deterministic
-// (seeded joggle, order-independent hull sets; see DESIGN.md §7), which
-// is what lets the crash tests compare core.Index fingerprints instead
-// of weaker properties.
+// one, never a future one. Replay applies each logged batch to the
+// checkpoint's delta buffer, exactly as the serving layer applied it,
+// and computes no hull: the recovered index is the checkpoint's layers
+// plus the log's delta, which is what lets the crash tests compare
+// core.Index fingerprints (delta included) instead of weaker
+// properties.
 package wal
 
 import (
@@ -54,6 +55,17 @@ var ErrBadHeader = errors.New("wal: bad or truncated header")
 type Mutation struct {
 	Insert []core.Record
 	Delete []uint64
+}
+
+// ApplyDelta applies the mutation to ix's delta buffer, as the serving
+// layer applied it before logging it: the replay of crash recovery and
+// of a fold's journal.
+func (m Mutation) ApplyDelta(ix *core.Index) error {
+	if len(m.Insert) > 0 {
+		return ix.InsertDelta(m.Insert)
+	}
+	_, err := ix.DeleteDelta(m.Delete, false)
+	return err
 }
 
 // Committer is the durability hook the serving layer calls with every

@@ -209,19 +209,21 @@ func TestManagerBootstrapAndRecover(t *testing.T) {
 	}
 	want := built.Fingerprint()
 
-	// Mutate through the manager exactly as the serving layer does.
+	// Mutate through the manager exactly as the serving layer does: one
+	// shallow clone per batch, mutations into its delta buffer.
 	extra := testRecords(t, 10, 3, 99)
 	for i := range extra {
 		extra[i].ID += 1000
 	}
-	next := built.Clone()
-	if err := next.InsertBatch(extra[:5]); err != nil {
+	next := built.CloneDelta()
+	if err := next.InsertDelta(extra[:5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Insert: extra[:5]}}, next); err != nil {
 		t.Fatal(err)
 	}
-	if err := next.DeleteBatch([]uint64{1, 2}); err != nil {
+	next = next.CloneDelta()
+	if _, err := next.DeleteDelta([]uint64{1, 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Delete: []uint64{1, 2}}}, next); err != nil {
@@ -240,11 +242,13 @@ func TestManagerBootstrapAndRecover(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no state recovered")
 	}
+	// The fingerprint covers the delta: recovery keeps the checkpoint's
+	// layers and rebuilds exactly the delta the snapshot carried.
 	if got := rec.Fingerprint(); got != wantFinal {
 		t.Fatalf("recovered fingerprint %s, want %s", got, wantFinal)
 	}
-	if rec.Len() != next.Len() {
-		t.Fatalf("recovered %d records, want %d", rec.Len(), next.Len())
+	if rec.Len() != next.Len() || rec.DeltaLen() != next.DeltaLen() {
+		t.Fatalf("recovered %d records (delta %d), want %d (delta %d)", rec.Len(), rec.DeltaLen(), next.Len(), next.DeltaLen())
 	}
 	m2.Close()
 }
@@ -422,12 +426,12 @@ func TestManagerFsyncModes(t *testing.T) {
 			if err := m.Bootstrap(built); err != nil {
 				t.Fatal(err)
 			}
-			next := built.Clone()
+			next := built.CloneDelta()
 			recs := testRecords(t, 3, 2, 31)
 			for i := range recs {
 				recs[i].ID += 500
 			}
-			if err := next.InsertBatch(recs); err != nil {
+			if err := next.InsertDelta(recs); err != nil {
 				t.Fatal(err)
 			}
 			muts := []Mutation{{Insert: recs[:1]}, {Insert: recs[1:]}}
@@ -458,10 +462,10 @@ func TestManagerFsyncModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.fsyncs.Load()
-	next := built.Clone()
+	next := built.CloneDelta()
 	recs := testRecords(t, 2, 2, 37)
 	recs[0].ID, recs[1].ID = 901, 902
-	if err := next.InsertBatch(recs); err != nil {
+	if err := next.InsertDelta(recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CommitBatch([]Mutation{{Insert: recs[:1]}, {Insert: recs[1:]}}, next); err != nil {

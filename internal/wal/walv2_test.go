@@ -289,9 +289,9 @@ func TestCompactorPersistsAcrossRestart(t *testing.T) {
 
 // TestRecoveredShellIndexKeepsSlabs: a shell-mode checkpoint plus one
 // logged insert frame and one logged delete frame recovers — decoded on
-// the heap and served from the mapping — an index that still evaluates
-// layers through its shell tables and answers exactly like the index
-// the log described before the crash.
+// the heap and served from the mapping — the index the log described
+// before the crash, delta and tombstone included, and it still
+// evaluates layers through its shell tables with the tombstone pending.
 func TestRecoveredShellIndexKeepsSlabs(t *testing.T) {
 	opt := core.Options{Seed: 29, Shells: true}
 	for _, mmap := range []bool{false, true} {
@@ -307,15 +307,16 @@ func TestRecoveredShellIndexKeepsSlabs(t *testing.T) {
 		if err := mgr.Bootstrap(ix); err != nil {
 			t.Fatal(err)
 		}
-		next := ix.Clone()
+		next := ix.CloneDelta()
 		ins := []core.Record{{ID: 5000, Vector: []float64{4, 4, 4}}}
-		if err := next.InsertBatch(ins); err != nil {
+		if err := next.InsertDelta(ins); err != nil {
 			t.Fatal(err)
 		}
 		if err := mgr.CommitBatch([]Mutation{{Insert: ins}}, next); err != nil {
 			t.Fatal(err)
 		}
-		if err := next.DeleteBatch([]uint64{3}); err != nil {
+		next = next.CloneDelta()
+		if _, err := next.DeleteDelta([]uint64{3}, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := mgr.CommitBatch([]Mutation{{Delete: []uint64{3}}}, next); err != nil {
@@ -331,6 +332,9 @@ func TestRecoveredShellIndexKeepsSlabs(t *testing.T) {
 		}
 		if mmap && mgr2.Mapped() == nil {
 			t.Fatal("mmap reopen did not map the checkpoint")
+		}
+		if got, want := rec.Fingerprint(), next.Fingerprint(); got != want {
+			t.Fatalf("mmap=%v: recovered fingerprint %s, want %s", mmap, got, want)
 		}
 		for _, w := range [][]float64{{1, 0.5, -0.2}, {-1, 2, 0}, {0.3, 0.3, 0.3}} {
 			want, _, err := next.TopN(w, 10)

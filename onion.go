@@ -377,8 +377,9 @@ func (x *Index) ShellPruning() bool { return x.ix.ShellPruning() }
 // EnableHierarchicalCompaction attaches a per-cluster compactor to an
 // already-built index (the Options.HierarchicalCompaction knob, after
 // the fact — useful for indexes obtained via Load or Clone). clusters
-// is the k-means partition size; 0 picks a heuristic. It refuses an
-// index with pending delta mutations: Compact first, then attach.
+// is the k-means partition size; 0 picks a heuristic. The compactor
+// clusters the layered records; pending delta mutations stay pending
+// and the next fold applies them through it.
 func (x *Index) EnableHierarchicalCompaction(clusters int) error {
 	_, err := hierarchy.Attach(x.ix, hierarchy.CompactorOptions{Clusters: clusters})
 	return err
