@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// resortTopN is the strawman alternative to the candidate max-heap: at
+// resortTopN is the strawman alternative to the walk's candidate set: at
 // each layer, append every record seen so far and fully re-sort, which
 // is what a naive implementation of the paper's Section 3.2 pseudocode
 // does if the candidate set C is kept as a plain list. Results are
@@ -43,8 +43,9 @@ func resortTopN(ix *core.Index, weights []float64, n int) []core.Result {
 	return out
 }
 
-// BenchmarkCandidateHeap compares the heap-based candidate set against
-// full re-sorting per layer (DESIGN.md ablation #2).
+// BenchmarkCandidateHeap compares the walk's candidate set (a bounded
+// query's sorted run with its score floor) against full re-sorting per
+// layer (DESIGN.md ablation #2).
 func BenchmarkCandidateHeap(b *testing.B) {
 	pts := workload.Points(workload.Gaussian, benchN, 3, 81)
 	recs := make([]core.Record, len(pts))

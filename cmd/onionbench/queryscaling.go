@@ -32,9 +32,8 @@ import (
 // count, TopNBatch must match solo TopN, and that reference itself is
 // checked against a brute-force scan on a sample of the queries.
 // Shells are additionally checked with an active delta buffer —
-// insert-only (shell tables live) and with tombstones (the shell path
-// must stand down for deadMax) — so the §6 structure composes with the
-// LSM write path. Any mismatch exits non-zero — scripts/ci.sh runs a
+// insert-only and with tombstones, shell tables live in both — so the
+// §6 structure composes with the LSM write path. Any mismatch exits non-zero — scripts/ci.sh runs a
 // small sweep as a regression gate on exactly this property.
 //
 // The summary lands in -query-out (BENCH_query.json) next to
@@ -347,9 +346,9 @@ func checkQueryEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, t
 // buffer, shells on and off must return bit-identical merged rankings,
 // and the shells-off reference must match a brute-force scan of the
 // merged record set. Two delta shapes are exercised — insert-only
-// (shell tables stay live alongside the merge stream) and mixed
-// inserts + tombstones (the shell path must stand down so deadMax
-// still covers every base record).
+// and mixed inserts + tombstones. Shell tables stay live in both: with
+// tombstones pending, the walk keeps dead rows out of the ranking but
+// counts them toward each layer's maximum, the Corollary 1 bound.
 func checkShellsDeltaEquivalence(ix *core.Index, recs []core.Record, ws [][]float64, topn int) error {
 	dim := len(recs[0].Vector)
 	ix.SetPruningMode(core.PruneAll)

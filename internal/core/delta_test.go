@@ -68,9 +68,12 @@ func checkDeltaAgainstOracles(t *testing.T, ix *Index, rng *rand.Rand, step int)
 		}
 		ws[qi] = w
 	}
+	// Limits either side of the first layer's size, where the candidate
+	// floor of a bounded walk first applies.
+	r0 := ix.LayerSize(0)
 	for qi, w := range ws {
 		brute := bruteRank(recs, w)
-		for _, n := range []int{1, 7, len(recs) + 5} {
+		for _, n := range []int{1, 7, r0 - 1, r0, r0 + 1, len(recs) + 5} {
 			want := brute
 			if n < len(want) {
 				want = want[:n]

@@ -122,7 +122,7 @@ type Searcher struct {
 	k        int     // next layer to evaluate
 	wnorm    float64 // ‖weights‖, computed at the first prune check
 	wnormSet bool
-	cand     topk.MaxHeap
+	cand     candidates
 	emit     []Result // pending results in descending order
 	emitPos  int
 	scoreBuf []float64     // scratch for layer scoring, reused per layer
@@ -184,6 +184,7 @@ func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, er
 		limit = -1
 	}
 	s := &Searcher{ix: ix, weights: w, remain: limit}
+	s.cand.bounded = limit > 0
 	if ix.delta != nil && ix.delta.live > 0 {
 		// Brute-force the delta up front: every pending record is scored
 		// exactly once per query, which the stats account like a layer.
@@ -295,27 +296,27 @@ func (s *Searcher) advance() bool {
 			return true
 		}
 	}
-	// sl.pos, not the layer slice: shell tables may have bucket-reordered
-	// the slab rows the scores follow.
-	s.consumeLayer(sl.pos, s.layerScores(sl))
+	s.consumeLayer(sl, s.layerScores(sl))
 	return true
 }
 
 // drainCandidates finalizes pending candidates once no deeper layer can
-// contribute: every remaining candidate is final, in heap order. Next
-// trims to the limit.
+// contribute: every remaining candidate is final, in rank order, up to
+// the limit. The rest can never be delivered and are dropped.
 func (s *Searcher) drainCandidates() bool {
 	s.emit = s.emit[:0]
 	s.emitPos = 0
 	for s.remain < 0 || len(s.emit) < s.remain {
-		it, ok := s.cand.Pop()
+		it, ok := s.cand.peek()
 		if !ok {
 			break
 		}
+		s.cand.pop()
 		r := s.result(it)
 		s.emitTrace(TraceEvent{Kind: TraceDrained, Layer: -1, ID: r.ID, Score: r.Score})
 		s.emit = append(s.emit, r)
 	}
+	s.cand.Reset()
 	return len(s.emit) > 0
 }
 
@@ -324,7 +325,8 @@ func (s *Searcher) drainCandidates() bool {
 // candidates whose scores strictly beat layer k's score bound — which,
 // by hull nesting, also bounds every deeper layer — no unscored record
 // can ever enter the remaining top results, so the walk ends and the
-// candidates drain in heap order. The strict
+// candidates drain in rank order. The candidate run is sorted, so that
+// is one compare against the remain-th candidate, the floor. The strict
 // comparison is what keeps the output bit-identical to the unpruned
 // walk: at an exact tie the unpruned walk may prefer the deeper layer's
 // record, so a tied bound must not prune. Reports whether it pruned
@@ -334,21 +336,13 @@ func (s *Searcher) tryPrune() bool {
 	if s.remain <= 0 || ix.noPrune {
 		return false
 	}
-	if s.cand.Len() < s.remain {
+	floor := s.cand.floor(s.remain)
+	if math.IsInf(floor, -1) {
 		return false
 	}
 	s.ensureWNorm()
 	bound := ix.slabs[s.k].scoreBound(s.weights, s.wnorm)
-	beat := 0
-	for _, it := range s.cand.Items() {
-		if it.Score > bound {
-			beat++
-			if beat >= s.remain {
-				break
-			}
-		}
-	}
-	if beat < s.remain {
+	if floor <= bound {
 		return false
 	}
 	pruned := len(ix.layers) - s.k
@@ -438,93 +432,83 @@ func (s *Searcher) beginLayer(n int) {
 }
 
 // consumeLayer folds one scored layer into the searcher's state: offers
-// every live record to the collector, then finalizes through
-// finishLayer. pos lists internal positions parallel to scores — the
-// slab's pos array, whose rows shell tables may have bucket-reordered.
-func (s *Searcher) consumeLayer(pos []int, scores []float64) {
-	s.beginLayer(len(pos))
-	// Tombstoned positions (delta buffer deletes, see delta.go) are
-	// excluded from the ranking but NOT from the Corollary 1 bound:
-	// deeper layers nest inside this layer's hull with the tombstoned
-	// vertices still on it, so the finalization bound must be the
-	// maximum over every record of the layer, dead or alive.
+// the live records that reach the candidate floor to the collector,
+// then finalizes through finishLayer. A record below the floor has at
+// least remain candidates above it, so it can never be delivered: one
+// compare rejects it, with no heap work. The layer maximum still spans
+// every record, dead or alive, below the floor or not: deeper layers
+// nest inside this layer's hull with all of them on it, so Corollary 1's
+// finalization bound is the maximum over the whole layer.
+func (s *Searcher) consumeLayer(sl *layerSlab, scores []float64) {
+	s.beginLayer(len(scores))
+	floor := s.cand.floor(s.remain)
 	dead := s.ix.tombstones()
-	var deadMax float64
-	haveDead := false
-	if dead == nil {
-		for i, p := range pos {
-			s.best.Offer(topk.Item{ID: p, Score: scores[i]})
+	top, topRow := math.Inf(-1), -1
+	for i, sc := range scores {
+		if sc > top {
+			top, topRow = sc, i
 		}
-	} else {
-		for i, p := range pos {
-			if dead.has(p) {
-				if !haveDead || scores[i] > deadMax {
-					deadMax, haveDead = scores[i], true
-				}
-				continue
-			}
-			s.best.Offer(topk.Item{ID: p, Score: scores[i]})
+		if sc < floor || (dead != nil && dead.has(sl.pos[i])) {
+			continue
 		}
+		s.best.Offer(topk.Item{ID: sl.pos[i], Score: sc})
 	}
-	s.finishLayer(len(pos), deadMax, haveDead)
+	s.finishLayer(sl, len(scores), top, topRow)
 }
 
 // finishLayer completes the current layer: accounts the work, ranks the
 // collector, finalizes outer candidates and the layer maximum under the
-// Corollary 1 bound, and turns the rest into candidates. evaluated is
-// the number of records actually scored (the whole layer on the plain
-// path; possibly fewer through shells).
-func (s *Searcher) finishLayer(evaluated int, deadMax float64, haveDead bool) {
+// Corollary 1 bound, and merges the rest into the candidates. evaluated
+// is the number of records actually scored (the whole layer on the
+// plain path; possibly fewer through shells). top is Corollary 1's
+// bound: the layer maximum over every record, dead or alive, or, when
+// that maximum is below the candidate floor, any value below the floor,
+// which finalizes the same remain candidates. topRow is the slab row
+// that scores top, or −1 when no record was scored (shells skipped the
+// whole layer, and top is the best bucket bound).
+func (s *Searcher) finishLayer(sl *layerSlab, evaluated int, top float64, topRow int) {
 	ix := s.ix
 	s.stats.LayersAccessed++
 	s.stats.RecordsEvaluated += evaluated
 	s.rankBuf = s.best.DescendingInto(s.rankBuf[:0])
 	t := s.rankBuf
-	// maxT bounds every record of this and deeper layers; emitTop says
-	// whether the live layer maximum itself is final — it is unless a
-	// tombstone strictly beats it, in which case an unseen deeper record
-	// may still outrank it and t[0] must stay a candidate. Without
-	// tombstones this is exactly the legacy unconditional emission.
-	var maxT float64
-	emitTop := false
-	switch {
-	case len(t) > 0 && (!haveDead || t[0].Score >= deadMax):
-		maxT = t[0].Score
-		emitTop = true
-	case len(t) > 0:
-		maxT = deadMax
-	case haveDead:
-		maxT = deadMax
-	default:
+	if math.IsInf(top, -1) {
 		// Entirely empty layer (cannot happen: construction never emits
-		// one and tombstones leave deadMax set). Finalize nothing.
+		// one, and tombstones stay in it). Finalize nothing.
 		s.k++
 		return
 	}
-	if len(t) > 0 {
+	switch {
+	case len(t) > 0:
 		s.emitTrace(TraceEvent{
 			Kind: TraceLayerEvaluated, Layer: s.k,
 			ID: ix.ids[t[0].ID], Score: t[0].Score, Evaluated: evaluated,
 		})
+	case topRow >= 0:
+		s.emitTrace(TraceEvent{
+			Kind: TraceLayerEvaluated, Layer: s.k,
+			ID: sl.ids[topRow], Score: top, Evaluated: evaluated,
+		})
 	}
 
 	// Candidates from outer layers that beat this layer's maximum can be
-	// finalized now: no deeper layer can exceed maxT (Corollary 1). The
+	// finalized now: no deeper layer can exceed it (Corollary 1). The
 	// emission loop stops at the query limit: anything further stays a
 	// candidate (it would never be delivered).
 	for s.remain < 0 || len(s.emit) < s.remain {
-		c, ok := s.cand.Peek()
-		if !ok || c.Score <= maxT {
+		c, ok := s.cand.peek()
+		if !ok || c.Score <= top {
 			break
 		}
-		s.cand.Pop()
+		s.cand.pop()
 		r := s.result(c)
 		s.emitTrace(TraceEvent{Kind: TraceResultFromCandidates, Layer: s.k, ID: r.ID, Score: r.Score})
 		s.emit = append(s.emit, r)
 	}
-	// This layer's maximum is final too; the rest become candidates.
+	// This layer's maximum is final too, unless a tombstone beats it; the
+	// rest become candidates.
 	rest := t
-	if emitTop && (s.remain < 0 || len(s.emit) < s.remain) {
+	if len(t) > 0 && t[0].Score >= top && (s.remain < 0 || len(s.emit) < s.remain) {
 		r0 := s.result(t[0])
 		s.emitTrace(TraceEvent{Kind: TraceResultFromLayer, Layer: s.k, ID: r0.ID, Score: r0.Score})
 		s.emit = append(s.emit, r0)
@@ -532,9 +516,94 @@ func (s *Searcher) finishLayer(evaluated int, deadMax float64, haveDead bool) {
 	}
 	for _, it := range rest {
 		s.emitTrace(TraceEvent{Kind: TraceCandidateKept, Layer: s.k, ID: ix.ids[it.ID], Score: it.Score})
-		s.cand.Push(it)
 	}
+	s.cand.add(rest, s.remain-len(s.emit))
 	s.k++
+}
+
+// candidates is the walk's candidate set: records of outer layers that
+// may still outrank a deeper layer's (paper Section 3.2). An unbounded
+// search keeps every one in a max-heap. A bounded search keeps a run in
+// rank order, cut after the keep-th record of the last merge plus any
+// that tie its score: a record further down has at least keep better
+// ones ahead of it and at most keep more deliveries to reach it, so it
+// never would be delivered. The cut compares on score alone, like the
+// floor, so after a merge the run holds exactly the candidates scoring
+// at or above the keep-th's score, ties kept whatever their position.
+type candidates struct {
+	bounded bool
+	heap    topk.MaxHeap // unbounded searches
+	run     []topk.Item  // bounded searches: rank order from head on
+	head    int          // run[:head] is already delivered
+	spare   []topk.Item  // merge destination, swapped with run
+}
+
+// Reset empties the set, retaining capacity.
+func (c *candidates) Reset() {
+	c.heap.Reset()
+	c.run = c.run[:0]
+	c.head = 0
+}
+
+// peek returns the best candidate; ok is false when there is none.
+func (c *candidates) peek() (topk.Item, bool) {
+	if !c.bounded {
+		return c.heap.Peek()
+	}
+	if c.head < len(c.run) {
+		return c.run[c.head], true
+	}
+	return topk.Item{}, false
+}
+
+// pop removes the best candidate.
+func (c *candidates) pop() {
+	if c.bounded {
+		c.head++
+		return
+	}
+	c.heap.Pop()
+}
+
+// floor returns the score below which no record can be delivered by a
+// bounded search with n results left to deliver: the n-th best
+// candidate's, or −Inf while fewer than n candidates are held.
+func (c *candidates) floor(n int) float64 {
+	if n <= 0 || len(c.run)-c.head < n {
+		return math.Inf(-1)
+	}
+	return c.run[c.head+n-1].Score
+}
+
+// add merges a layer's leftover records, in rank order, into the set.
+// A bounded run keeps its first keep records of the merge plus the ones
+// that tie the keep-th's score.
+func (c *candidates) add(rest []topk.Item, keep int) {
+	if !c.bounded {
+		for _, it := range rest {
+			c.heap.Push(it)
+		}
+		return
+	}
+	a := c.run[c.head:]
+	out := c.spare[:0]
+	for i, j := 0, 0; keep > 0 && (i < len(a) || j < len(rest)); {
+		var it topk.Item
+		if j == len(rest) || (i < len(a) && topk.Greater(a[i], rest[j])) {
+			it = a[i]
+			i++
+		} else {
+			it = rest[j]
+			j++
+		}
+		if len(out) >= keep && it.Score < out[keep-1].Score {
+			break
+		}
+		out = append(out, it)
+	}
+	c.spare = c.run[:0]
+	c.run = out
+	c.head = 0
 }
 
 func (s *Searcher) result(it topk.Item) Result {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -250,5 +252,113 @@ func TestDuplicatePointsQueryCorrect(t *testing.T) {
 		if r.Score != 2 {
 			t.Errorf("rank %d: score %v, want 2 (all three duplicates)", i, r.Score)
 		}
+	}
+}
+
+// TestBoundedCandidatesStayBounded pins the candidate run of a bounded
+// walk: after every delivered result it holds at most as many
+// candidates as results it could still supply, plus the records that
+// tie the last of those, and the answer is exactly the prefix of the
+// unbounded stream, which keeps every candidate in a heap and applies
+// no floor. The integer grids, one with every point twice, put many
+// records on the floor's score, so the cut keeps ties and the floor
+// passes them.
+func TestBoundedCandidatesStayBounded(t *testing.T) {
+	grid := func(copies int) []Record {
+		var recs []Record
+		for c := 0; c < copies; c++ {
+			for x := 0; x < 6; x++ {
+				for y := 0; y < 6; y++ {
+					recs = append(recs, Record{Vector: []float64{float64(x), float64(y)}})
+				}
+			}
+		}
+		for i, p := range rand.New(rand.NewSource(5)).Perm(len(recs)) {
+			recs[i].ID = uint64(p + 1)
+		}
+		return recs
+	}
+	build := func(recs []Record, shells bool) *Index {
+		ix, err := Build(recs, Options{Shells: shells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	tomb := build(mkRecords(workload.Points(workload.Uniform, 2000, 3, 41)), false).CloneDelta()
+	if _, err := tomb.DeleteDelta([]uint64{3, 17, 99, 512, 1024, 1500}, false); err != nil {
+		t.Fatal(err)
+	}
+	corpora := []struct {
+		name string
+		ix   *Index
+		ws   [][]float64
+	}{
+		{"gauss2d", build(mkRecords(workload.Points(workload.Gaussian, 1500, 2, 40)), false), nil},
+		{"uniform3d-shells", build(mkRecords(workload.Points(workload.Uniform, 2000, 3, 41)), true), nil},
+		{"uniform3d-tombstones", tomb, nil},
+		{"grid", build(grid(1), false), [][]float64{{1, 1}, {1, 0}, {1, 2}, {-1, 1}}},
+		{"grid-duplicates", build(grid(2), false), [][]float64{{1, 1}, {0, 1}, {2, 1}}},
+		{"grid-shells", build(grid(2), true), [][]float64{{1, 1}, {1, 0}, {1, 3}}},
+	}
+	rng := rand.New(rand.NewSource(42))
+	for _, c := range corpora {
+		ws := c.ws
+		for len(ws) < 6 {
+			ws = append(ws, randWeights(rng, c.ix.Dim()))
+		}
+		for _, w := range ws {
+			full := drainSearcher(t, c.ix, w, 0, nil)
+			for _, n := range []int{1, 3, 10, 30, 100} {
+				label := fmt.Sprintf("%s w=%v n=%d", c.name, w, n)
+				got := drainSearcher(t, c.ix, w, n, func(s *Searcher) {
+					checkCandidateBound(t, label, s)
+				})
+				if want := full[:min(n, len(full))]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: bounded walk %v, unbounded prefix %v", label, got, want)
+				}
+			}
+		}
+	}
+}
+
+// drainSearcher collects a searcher's whole answer, calling after (when
+// set) once after every delivered result.
+func drainSearcher(t *testing.T, ix *Index, w []float64, limit int, after func(*Searcher)) []Result {
+	t.Helper()
+	s, err := ix.NewSearcherChecked(w, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Result
+	for {
+		r, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, r)
+		if after != nil {
+			after(s)
+		}
+	}
+}
+
+// checkCandidateBound asserts the bounded run's size limit: r, the
+// results it could still supply (remain less the results already
+// finalized and waiting), plus the records tied with the r-th.
+func checkCandidateBound(t *testing.T, label string, s *Searcher) {
+	t.Helper()
+	run := s.cand.run[s.cand.head:]
+	r := s.remain - (len(s.emit) - s.emitPos)
+	limit := min(max(r, 0), len(run))
+	for limit > 0 && limit < len(run) && run[limit].Score == run[r-1].Score {
+		limit++
+	}
+	if len(run) > limit {
+		t.Fatalf("%s: %d candidates held with %d results left to supply (limit with ties %d)",
+			label, len(run), r, limit)
+	}
+	if s.cand.heap.Len() != 0 {
+		t.Fatalf("%s: bounded walk pushed %d candidates onto the heap", label, s.cand.heap.Len())
 	}
 }

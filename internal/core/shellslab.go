@@ -325,48 +325,59 @@ func (s *Searcher) shellSchedule(t *shellTable) []shellRef {
 
 // consumeLayerShells evaluates the searcher's current layer through its
 // shell table: buckets in decreasing bound order, stopping as soon as
-// the layer's top-keep collector is full and the next bound cannot beat
-// its threshold. The kept set — and therefore every emitted result,
-// candidate, and tie — is identical to the full scan's: a skipped
-// record's score is strictly below the collector's final threshold
-// (bound < threshold at skip time, and the threshold only rises), so it
-// could never have displaced a kept record even via the position
-// tie-break; and the layer maximum is never skipped (its bucket's bound
-// is ≥ the layer maximum ≥ any threshold), so the Corollary 1
-// finalization bound maxT is exact.
+// the next bound is strictly below the candidate floor, or the layer's
+// top-keep collector is full and the bound cannot beat its threshold.
+// Inside the buckets it scores it rejects records below the floor, as
+// consumeLayer does. The kept set — and therefore every emitted result,
+// candidate, and tie — is identical to the full scan's: a record
+// skipped at the threshold scores strictly below the collector's final
+// threshold (bound < threshold at skip time, and the threshold only
+// rises), so it could never have displaced a kept record even via the
+// position tie-break, and a record skipped at the floor scores below
+// it, so the full scan would have rejected it too.
 //
-// Tombstoned rows (delta buffer deletes) stay out of the collector, and
-// their maximum is tracked over the buckets actually scored. That is
-// the layer-wide dead maximum finishLayer's bound needs whenever it
-// matters: a bucket is skipped only with the collector full and its
-// bound below the threshold, so a dead row there scores below the live
-// layer maximum and cannot raise maxT above it.
+// The layer maximum finishLayer needs (Corollary 1's bound) is taken
+// over the rows scored, tombstoned ones (delta buffer deletes) included
+// although they stay out of the collector. It is exact whenever it
+// reaches the floor: a bucket skipped at the floor holds only rows
+// below it, and one skipped at the threshold only rows below the live
+// maximum, since a full collector's threshold is at most that. When it
+// is below the floor, so is every row of the layer (no threshold skip
+// happens with the collector empty) and, by hull nesting, every deeper
+// one: the remain best candidates, all at or above the floor, are then
+// final against any bound below it. If no bucket is scored at all, that
+// bound is the best bucket's.
 func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
 	n := len(sl.pos)
 	s.beginLayer(n)
 	scores := s.ensureScoreBuf(n)
 	ord := s.shellSchedule(t)
+	floor := s.cand.floor(s.remain)
 	dead := s.ix.tombstones()
-	var deadMax float64
-	haveDead := false
+	top, topRow := math.Inf(-1), -1
 	evaluated := 0
 	pruneBound := 0.0
 	for _, ref := range ord {
-		if th, full := s.best.Threshold(); full && ref.bound < th {
+		th, full := s.best.Threshold()
+		if ref.bound < floor || (full && ref.bound < th) {
 			// Bounds are descending: no later bucket can matter either.
 			pruneBound = ref.bound
+			if topRow < 0 {
+				top = ref.bound
+			}
 			break
 		}
 		b := &t.buckets[ref.bi]
 		s.scoreRows(sl, scores, b.lo, b.hi)
 		for i := b.lo; i < b.hi; i++ {
-			if dead != nil && dead.has(sl.pos[i]) {
-				if !haveDead || scores[i] > deadMax {
-					deadMax, haveDead = scores[i], true
-				}
+			sc := scores[i]
+			if sc > top {
+				top, topRow = sc, i
+			}
+			if sc < floor || (dead != nil && dead.has(sl.pos[i])) {
 				continue
 			}
-			s.best.Offer(topk.Item{ID: sl.pos[i], Score: scores[i]})
+			s.best.Offer(topk.Item{ID: sl.pos[i], Score: sc})
 		}
 		evaluated += b.hi - b.lo
 	}
@@ -375,5 +386,5 @@ func (s *Searcher) consumeLayerShells(sl *layerSlab, t *shellTable) {
 		s.emitTrace(TraceEvent{Kind: TraceShellsPruned, Layer: s.k, Score: pruneBound, Evaluated: skipped})
 	}
 	s.stats.ShellLayers++
-	s.finishLayer(evaluated, deadMax, haveDead)
+	s.finishLayer(sl, evaluated, top, topRow)
 }

@@ -34,7 +34,7 @@ func bruteScoreSeq(vecs [][]float64, w []float64, n int) []float64 {
 // identical mutation schedule return bit-identical top-N output — solo
 // TopN and TopNBatch, workers 1 and 4 — through every
 // lifecycle stage: fresh build, insert-only delta buffer (shells live
-// over the base layers), tombstoned delta buffer (shells stand down but
+// over the base layers), tombstoned delta buffer (shells stay on and
 // answers must not move), and post-compaction (tables rebuilt). The
 // brute-force oracle over the logical record set pins both twins to the
 // true answer. The suite runs under -race in scripts/ci.sh.
@@ -132,9 +132,8 @@ func TestShellsMatchPlainAndBruteAfterMixedMaintenance(t *testing.T) {
 			t.Fatalf("%dD: shells never skipped a record under an insert-only delta buffer", d)
 		}
 
-		// Tombstones force shells to stand down (a skipped bucket could
-		// hide the live record that replaces a dead near-top one); the
-		// answers still must not move.
+		// Tombstones keep the shell walk on: dead rows leave the ranking
+		// but still bound the layer, and the answers must not move.
 		dels := make([]uint64, 0, 12)
 		for i := 0; i < 12; i++ {
 			dels = append(dels, uint64(1+i*(n/13)))
@@ -605,13 +604,21 @@ func TestShellTableOverask(t *testing.T) {
 	checkShellTableExact(t, "overask multi-layer", multi)
 }
 
-// TestShellsWithTombstones pins shell pruning under pending deletes in
-// 2D–4D: the shell walk stays on (ShellLayers > 0, records skipped)
-// and answers bit-identically — IDs, score bits and layers — to the
-// same index without shells and to brute force. The deletes include
-// each query's own top records, so a layer's maximum is often a
-// tombstone.
+// TestShellsWithTombstones pins shell pruning, and the candidate floor
+// of every bounded walk, under pending deletes and inserts in 2D–4D:
+// the shell walk stays on (ShellLayers > 0, records skipped) and answers
+// bit-identically — IDs, score bits and layers — to the same index
+// without shells and to brute force, at workers 1 and 4. The deletes
+// include each query's own top records and the maximum of the deepest
+// layer its walk enters, so a layer's maximum is often a
+// tombstone, both above the floor and below it; the inserts outrank
+// every base record for some weights, so delta deliveries use up the
+// limit before the base walk does. The limits run from 1 through one
+// either side of the first layer's size, where the floor first applies,
+// to beyond Len().
 func TestShellsWithTombstones(t *testing.T) {
+	defer func(v int) { scoreParallelMin = v }(scoreParallelMin)
+	scoreParallelMin = 64 // drive the parallel kernels on these layers
 	for d := 2; d <= 4; d++ {
 		recs := mkRecords(workload.Points(workload.Uniform, 3000, d, int64(70+d)))
 		shells, err := Build(recs, Options{Shells: true})
@@ -632,12 +639,13 @@ func TestShellsWithTombstones(t *testing.T) {
 			weights[i] = w
 		}
 		shells, plain = shells.CloneDelta(), plain.CloneDelta()
+		r0 := shells.LayerSize(0)
 		for _, w := range weights[:6] {
 			top, _, err := shells.TopN(w, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids := []uint64{uint64(1 + rng.Intn(len(recs)))}
+			ids := []uint64{uint64(1 + rng.Intn(len(recs))), deepestLayerMax(t, shells, w, r0)}
 			for _, r := range top {
 				ids = append(ids, r.ID)
 			}
@@ -647,28 +655,125 @@ func TestShellsWithTombstones(t *testing.T) {
 				}
 			}
 		}
+		// Inserts that beat every base record for weights[6:9]: the
+		// query's best record pushed further along w.
+		nextID := uint64(len(recs) + 1)
+		for _, w := range weights[6:9] {
+			top, _, err := shells.TopN(w, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ins []Record
+			for i, r := range top {
+				v, _ := shells.Vector(r.ID)
+				up := make([]float64, d)
+				for j := range up {
+					up[j] = v[j] + 0.1*float64(i+1)*w[j]
+				}
+				ins = append(ins, Record{ID: nextID, Vector: up})
+				nextID++
+			}
+			for _, ix := range []*Index{shells, plain} {
+				if err := ix.InsertDelta(ins); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		live := shells.Records()
-		shellLayers, skipped := 0, 0
+		shellLayers, skipped, deltaFirst := 0, 0, 0
+		var deadMax [2]int // tombstoned layer maxima above, below the floor
 		for _, w := range weights {
-			for _, n := range []int{1, 10, 50} {
-				got, st, err := shells.TopN(w, n)
-				if err != nil {
-					t.Fatal(err)
+			brute := bruteRank(live, w)
+			for _, n := range []int{1, r0 - 1, r0, r0 + 1, shells.Len() + 3} {
+				want := brute[:min(n, len(brute))]
+				for _, workers := range []int{1, 4} {
+					shells.SetParallelism(workers)
+					plain.SetParallelism(workers)
+					got, st := drainCountingDeadMaxima(t, shells, w, n, &deadMax)
+					shellLayers += st.ShellLayers
+					skipped += st.RecordsSkippedByShells
+					ref, _ := drainCountingDeadMaxima(t, plain, w, n, &deadMax)
+					if !reflect.DeepEqual(got, ref) {
+						t.Fatalf("d=%d n=%d workers=%d w=%v: shells %v, plain %v", d, n, workers, w, got, ref)
+					}
+					sameRanking(t, "shells with tombstones vs brute", got, want)
+					if got[0].Layer < 0 {
+						deltaFirst++
+					}
 				}
-				shellLayers += st.ShellLayers
-				skipped += st.RecordsSkippedByShells
-				want, _, err := plain.TopN(w, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("d=%d n=%d w=%v: shells %v, plain %v", d, n, w, got, want)
-				}
-				sameRanking(t, "shells with tombstones vs brute", got, bruteRank(live, w)[:n])
 			}
 		}
 		if shellLayers == 0 || skipped == 0 {
 			t.Fatalf("d=%d: tombstones turned the shell walk off (%d shell layers, %d records skipped)", d, shellLayers, skipped)
 		}
+		if deadMax[0] == 0 || deadMax[1] == 0 || deltaFirst == 0 {
+			t.Fatalf("d=%d: uncovered: %d tombstoned maxima above the floor, %d below, %d delta-first answers",
+				d, deadMax[0], deadMax[1], deltaFirst)
+		}
 	}
+}
+
+// deepestLayerMax returns the ID of the best record, under w, of the
+// deepest layer a top-n walk of ix enters.
+func deepestLayerMax(t *testing.T, ix *Index, w []float64, n int) uint64 {
+	t.Helper()
+	_, st, err := ix.TopN(w, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer := ix.Layer(st.LayersAccessed - 1)
+	best := layer[0]
+	for _, r := range layer[1:] {
+		if geom.Dot(w, r.Vector) > geom.Dot(w, best.Vector) {
+			best = r
+		}
+	}
+	return best.ID
+}
+
+// drainCountingDeadMaxima runs a bounded top-n walk and counts, in
+// dead[0] and dead[1], the layers it finishes whose maximum over every
+// row is a tombstone scoring at or above, or below, the candidate floor
+// the walk applied to that layer.
+func drainCountingDeadMaxima(t *testing.T, ix *Index, w []float64, n int, dead *[2]int) ([]Result, Stats) {
+	t.Helper()
+	s, err := ix.NewSearcherChecked(w, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tomb := ix.tombstones()
+	s.Trace(func(ev TraceEvent) {
+		if ev.Kind != TraceLayerEvaluated || tomb == nil {
+			return
+		}
+		// Fired before the layer's results leave the candidate run, so
+		// the run and remain are still those the layer was filtered by.
+		floor := s.cand.floor(s.remain)
+		if math.IsInf(floor, -1) {
+			return
+		}
+		sl := &ix.slabs[ev.Layer]
+		top, row := math.Inf(-1), -1
+		for i := range sl.pos {
+			if sc := geom.Dot(w, sl.data[i*ix.dim:(i+1)*ix.dim]); sc > top {
+				top, row = sc, i
+			}
+		}
+		if tomb.has(sl.pos[row]) {
+			if top >= floor {
+				dead[0]++
+			} else {
+				dead[1]++
+			}
+		}
+	})
+	var out []Result
+	for {
+		r, ok := s.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out, s.Stats()
 }

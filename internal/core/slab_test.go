@@ -315,7 +315,7 @@ func TestWarmSearcherNextZeroAllocs(t *testing.T) {
 
 	s := ix.NewSearcher(w, 64)
 	// Warm-up: run the searcher to completion once so every buffer —
-	// including the candidate heap — reaches its high-water capacity.
+	// including the candidate run — reaches its high-water capacity.
 	for {
 		if _, ok := s.Next(); !ok {
 			break

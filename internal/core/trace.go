@@ -12,9 +12,16 @@ package core
 type TraceKind int
 
 const (
-	// TraceLayerEvaluated fires after a layer's records are scored.
+	// TraceLayerEvaluated fires after a layer's records are scored
+	// (not for a layer whose shell buckets all fall below the candidate
+	// floor, which scores none).
 	TraceLayerEvaluated TraceKind = iota
-	// TraceCandidateKept fires when a record enters the candidate set.
+	// TraceCandidateKept fires when a record of the current layer joins
+	// the candidate set. In a bounded search only records that pass the
+	// candidate floor get there: a record scoring below the remain-th
+	// candidate can never be delivered, so it is rejected without an
+	// event, and a kept record may later drop out of the set unreported
+	// once remain better ones are held.
 	TraceCandidateKept
 	// TraceResultFromCandidates fires when a candidate from an outer
 	// layer is finalized because it beats the current layer's maximum.
@@ -65,7 +72,8 @@ type TraceEvent struct {
 	Layer int
 	// ID and Score identify the record for record-level events; for
 	// TraceLayerEvaluated, Score is the layer's maximum and ID the
-	// record attaining it.
+	// record attaining it: the best live record that passed the floor,
+	// else the best record scored, tombstoned or below the floor.
 	ID    uint64
 	Score float64
 	// Evaluated is the number of records scored in the layer

@@ -1,7 +1,7 @@
 // Package topk provides bounded top-k selection and an unbounded
 // max-heap keyed by float64 scores, the two in-memory structures the
 // Onion query processor needs: a per-layer "best N of this layer" buffer
-// and the global candidate set.
+// and the candidate set of an unbounded (progressive) search.
 //
 // Both structures order items by one strict total order — descending
 // score, equal scores by ascending ID — not by score alone. Score-only
@@ -158,9 +158,10 @@ func (b *Bounded) siftUp(i int) {
 
 func (b *Bounded) siftDown(i int) { siftDownItems(b.items, i) }
 
-// itemGreater is the pop order of MaxHeap (and the output order of
-// DescendingInto): descending score, equal scores by ascending ID.
-func itemGreater(a, b Item) bool {
+// Greater reports whether a ranks strictly before b: it is the pop
+// order of MaxHeap and the output order of DescendingInto (descending
+// score, equal scores by ascending ID).
+func Greater(a, b Item) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
@@ -183,8 +184,9 @@ func ResultGreater(scoreA float64, idA uint64, scoreB float64, idB uint64) bool 
 
 // MaxHeap is an unbounded max-heap of Items under the package's total
 // order (descending score, ties by ascending ID). The Onion query
-// processor uses it as the candidate set: records from outer layers
-// that may still beat records of inner layers (paper Section 3.2).
+// processor uses it as the candidate set of an unbounded search:
+// records from outer layers that may still beat records of inner layers
+// (paper Section 3.2). A bounded search keeps a sorted run instead.
 // Because Peek/Pop follow the total order, the pop sequence of a given
 // item set never depends on the push sequence — the property that makes
 // candidate draining identical across different query limits.
@@ -201,7 +203,7 @@ func (h *MaxHeap) Push(it Item) {
 	i := len(h.items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !itemGreater(h.items[i], h.items[p]) {
+		if !Greater(h.items[i], h.items[p]) {
 			break
 		}
 		h.items[p], h.items[i] = h.items[i], h.items[p]
@@ -232,10 +234,10 @@ func (h *MaxHeap) Pop() (Item, bool) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && itemGreater(h.items[l], h.items[m]) {
+		if l < n && Greater(h.items[l], h.items[m]) {
 			m = l
 		}
-		if r < n && itemGreater(h.items[r], h.items[m]) {
+		if r < n && Greater(h.items[r], h.items[m]) {
 			m = r
 		}
 		if m == i {
@@ -249,9 +251,3 @@ func (h *MaxHeap) Pop() (Item, bool) {
 
 // Reset empties the heap, retaining capacity.
 func (h *MaxHeap) Reset() { h.items = h.items[:0] }
-
-// Items exposes the heap's backing slice in unspecified (heap) order.
-// Callers must not modify it; it is valid until the next mutation. The
-// query processor scans it to count candidates that beat a layer's
-// score bound without disturbing the heap.
-func (h *MaxHeap) Items() []Item { return h.items }

@@ -115,12 +115,13 @@ go run ./cmd/onionbench -query-scaling -n 3000 -queries 32 -query-workers 1,4 -q
 # Shell-pruning smoke at a corpus size where the angular buckets do
 # real skipping: the same bit-equivalence gate (shells solo + batched
 # against the unpruned walk, with and without an active delta buffer,
-# plus the brute-force oracle) over a 10k corpus at top-10 only, so it
-# stays seconds. The committed BENCH_query.json is the 100k run whose
+# plus the brute-force oracle) over a 10k corpus at top-10 and top-100,
+# so it stays seconds. Top-100 is where the candidate floor skips most
+# buckets. The committed BENCH_query.json is the 100k run whose
 # headline records the shells records-evaluated cut.
 echo "== shell pruning equivalence smoke (onionbench -query-scaling, 10k)"
 shells_out="$(mktemp)"
-go run ./cmd/onionbench -query-scaling -n 10000 -queries 24 -query-workers 1,4 -query-topns 10 -query-out "$shells_out"
+go run ./cmd/onionbench -query-scaling -n 10000 -queries 24 -query-workers 1,4 -query-topns 10,100 -query-out "$shells_out"
 rm -f "$shells_out"
 
 # Result-cache equivalence smoke: a small -cache-scaling run gates the
