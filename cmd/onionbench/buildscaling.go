@@ -25,8 +25,7 @@ import (
 // produce the identical layer partition (checked by core.Fingerprint,
 // the same oracle the WAL crash-recovery tests use; any mismatch
 // exits non-zero, which is what lets scripts/ci.sh use a small sweep as
-// a regression gate). The summary lands in -build-out (BENCH_build.json)
-// next to the serving baseline BENCH_server.json.
+// a regression gate). The summary lands in -build-out (BENCH_build.json).
 
 // buildScalingRun is one measured build of the sweep.
 type buildScalingRun struct {

@@ -77,12 +77,6 @@ var (
 
 	coldstartFlag    = flag.Bool("coldstart", false, "measure mmap-backed serving instead of running experiments: restart-to-first-query (heap decode vs mmap of the same clean v2 checkpoint) and sustained queries under a resident budget 1/8th of the checkpoint; gates mmap ≡ heap ≡ brute force first, emits -coldstart-out JSON")
 	coldstartOutFlag = flag.String("coldstart-out", "BENCH_mmap.json", "coldstart: summary JSON output path")
-
-	serveLoadFlag = flag.String("serve-load", "", "load-test a query server instead of running experiments: a base URL like http://host:8080, or 'self' to serve a synthetic corpus in-process")
-	serveConcFlag = flag.Int("serve-conc", 16, "serve-load: concurrent clients")
-	serveDurFlag  = flag.Duration("serve-dur", 10*time.Second, "serve-load: measurement duration")
-	serveTopNFlag = flag.Int("serve-topn", 10, "serve-load: N per top-N query")
-	serveOutFlag  = flag.String("serve-out", "BENCH_server.json", "serve-load: summary JSON output path")
 )
 
 // testSet is one of the paper's four synthetic data sets.
@@ -197,10 +191,6 @@ func main() {
 		// meaningful when the decode is corpus-sized), so the committed
 		// baseline uses the full -n default; -n/-queries shrink for CI.
 		coldstart(n, queries, *coldstartOutFlag)
-		return
-	}
-	if *serveLoadFlag != "" {
-		serveLoad(*serveLoadFlag, n, *serveConcFlag, *serveDurFlag, *serveTopNFlag, *serveOutFlag)
 		return
 	}
 	want := map[string]bool{}

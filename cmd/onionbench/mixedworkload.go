@@ -138,9 +138,27 @@ func sameRankingIDScore(got, want []core.Result) bool {
 	return true
 }
 
+// buildMixedCorpus builds the mixed workload's starting index: n
+// 3D Gaussian points with IDs 1..n.
+func buildMixedCorpus(n int) *core.Index {
+	start := time.Now()
+	pts := workload.Points(workload.Gaussian, n, 3, *seedFlag)
+	recs := make([]core.Record, n)
+	for i, p := range pts {
+		recs[i] = core.Record{ID: uint64(i + 1), Vector: p}
+	}
+	ix, err := core.Build(recs, core.Options{Seed: *seedFlag})
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("built corpus: 3D Gaussian n=%d, %d layers, in %v\n",
+		n, ix.NumLayers(), time.Since(start).Round(time.Millisecond))
+	return ix
+}
+
 func mixedWorkload(n, readers, rate int, dur time.Duration, threshold int, outPath string) {
 	const dim = 3
-	ix, _ := buildServeCorpus(n)
+	ix := buildMixedCorpus(n)
 	srv := server.New(ix, server.Config{DeltaThreshold: threshold})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

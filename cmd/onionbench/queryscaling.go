@@ -37,7 +37,7 @@ import (
 // small sweep as a regression gate on exactly this property.
 //
 // The summary lands in -query-out (BENCH_query.json) next to
-// BENCH_build.json and BENCH_server.json. The headline block is the §6
+// BENCH_build.json. The headline block is the §6
 // acceptance ratio on the largest 4D corpus at one worker, with num_cpu
 // alongside so readers can judge the parallel rows.
 

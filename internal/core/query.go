@@ -51,9 +51,9 @@ var scoreParallelMin = 4096
 
 // ErrNonFiniteWeight is returned by queries whose weight vector carries
 // a NaN or ±Inf component. Such weights would otherwise flow straight
-// through the arithmetic: NaN poisons every score and defeats the heap
-// ordering, yielding garbage ranks. Rejecting at the query boundary
-// keeps every downstream comparison meaningful.
+// through the arithmetic: NaN poisons every score and defeats the
+// collectors' ordering, yielding garbage ranks. Rejecting at the query
+// boundary keeps every downstream comparison meaningful.
 var ErrNonFiniteWeight = errors.New("core: non-finite weight")
 
 // ValidateWeights checks a query weight vector against an index
@@ -125,10 +125,9 @@ type Searcher struct {
 	cand     candidates
 	emit     []Result // pending results in descending order
 	emitPos  int
-	scoreBuf []float64     // scratch for layer scoring, reused per layer
-	best     *topk.Bounded // reusable per-layer top-k collector
-	rankBuf  []topk.Item   // reusable sorted-layer scratch
-	shellOrd []shellRef    // reusable shell bucket schedule scratch
+	scoreBuf []float64    // scratch for layer scoring, reused per layer
+	best     topk.Bounded // reusable per-layer top-k collector, set up at the first layer
+	shellOrd []shellRef   // reusable shell bucket schedule scratch
 	stats    Stats
 	trace    func(TraceEvent) // optional step-by-step narration
 	ctx      context.Context  // optional cancellation; nil = never cancelled
@@ -185,6 +184,15 @@ func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, er
 	}
 	s := &Searcher{ix: ix, weights: w, remain: limit}
 	s.cand.bounded = limit > 0
+	if limit > 0 {
+		// A bounded search delivers at most min(limit, Len()) results, so
+		// the emit buffer and the candidate run (ties past the cut aside)
+		// never need more: size them once instead of growing by doubling.
+		size := min(limit, ix.Len())
+		s.emit = make([]Result, 0, size)
+		s.cand.run = make([]topk.Item, 0, size)
+		s.cand.spare = make([]topk.Item, 0, size)
+	}
 	if ix.delta != nil && ix.delta.live > 0 {
 		// Brute-force the delta up front: every pending record is scored
 		// exactly once per query, which the stats account like a layer.
@@ -414,19 +422,18 @@ func (s *Searcher) beginLayer(n int) {
 	if s.remain > 0 && s.remain < keep {
 		keep = s.remain
 	}
-	if s.best == nil {
-		// Size the reusable collector once: no later layer can need more
-		// than min(current remaining, largest layer) slots, so warm
-		// advances never grow it.
-		hint := ix.maxLayer
-		if s.remain > 0 && s.remain < hint {
-			hint = s.remain
+	if s.best.K() == 0 {
+		// Size the reusable collector once: no later layer keeps more
+		// than min(current remaining, largest layer) records, so warm
+		// advances never grow it. A bounded search buffers twice that
+		// between cuts; an unbounded one keeps whole layers, never cuts,
+		// and needs room for the largest layer only.
+		hint := max(ix.maxLayer, keep)
+		if s.remain > 0 {
+			s.best = *topk.NewBounded(min(s.remain, hint))
+		} else {
+			s.best = *topk.NewBoundedCap(hint, hint)
 		}
-		if hint < keep {
-			hint = keep
-		}
-		s.best = topk.NewBounded(hint)
-		s.rankBuf = make([]topk.Item, 0, hint)
 	}
 	s.best.ResetK(keep)
 }
@@ -435,7 +442,7 @@ func (s *Searcher) beginLayer(n int) {
 // the live records that reach the candidate floor to the collector,
 // then finalizes through finishLayer. A record below the floor has at
 // least remain candidates above it, so it can never be delivered: one
-// compare rejects it, with no heap work. The layer maximum still spans
+// compare rejects it before the collector. The layer maximum still spans
 // every record, dead or alive, below the floor or not: deeper layers
 // nest inside this layer's hull with all of them on it, so Corollary 1's
 // finalization bound is the maximum over the whole layer.
@@ -470,8 +477,7 @@ func (s *Searcher) finishLayer(sl *layerSlab, evaluated int, top float64, topRow
 	ix := s.ix
 	s.stats.LayersAccessed++
 	s.stats.RecordsEvaluated += evaluated
-	s.rankBuf = s.best.DescendingInto(s.rankBuf[:0])
-	t := s.rankBuf
+	t := s.best.Descending()
 	if math.IsInf(top, -1) {
 		// Entirely empty layer (cannot happen: construction never emits
 		// one, and tombstones stay in it). Finalize nothing.

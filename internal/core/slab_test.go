@@ -346,6 +346,30 @@ func TestWarmSearcherNextZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestColdTopNAllocs bounds what one cold bounded query allocates, at
+// fresh weights each time. The eight are the searcher, its weight copy,
+// the per-layer collector's buffer, the score scratch, the emit buffer,
+// the candidate run and its merge spare, and the result slice: each is
+// sized once, from the limit or the largest layer, so no layer grows
+// one by doubling.
+func TestColdTopNAllocs(t *testing.T) {
+	ix := buildRand(t, workload.Gaussian, 4000, 4, 8)
+	ix.SetParallelism(1) // the fork-join path allocates goroutine bookkeeping
+	rng := rand.New(rand.NewSource(19))
+	w := make([]float64, 4)
+	avg := testing.AllocsPerRun(50, func() {
+		for j := range w {
+			w[j] = rng.Float64()
+		}
+		if _, _, err := ix.TopN(w, 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 8 {
+		t.Fatalf("cold TopN(w, 100) allocates %v times, want at most 8", avg)
+	}
+}
+
 // checkSlabInvariant asserts the invariant every Index keeps: one slab
 // per layer whose rows are exactly the layer's records with the bound
 // metadata of those rows, maxLayer the largest layer, and — exactly in

@@ -247,7 +247,9 @@ func (h *Hierarchy) TopNWhere(weights []float64, n int, pred func(label string) 
 }
 
 // mergeChildren queries each flagged child for its top-n and merges the
-// streams into one global top-n.
+// streams into one global top-n, ordered by the package topk total
+// order on (score, record ID): records that tie across children come
+// back ID-ascending, as from one index over their union.
 func (h *Hierarchy) mergeChildren(weights []float64, n int, need []bool) ([]core.Result, core.Stats, int, error) {
 	var agg core.Stats
 	queried := 0
@@ -265,14 +267,8 @@ func (h *Hierarchy) mergeChildren(weights []float64, n int, need []bool) ([]core
 		agg.LayersAccessed += stats.LayersAccessed
 		all = append(all, res...)
 	}
-	best := topk.NewBounded(n)
-	for i, r := range all {
-		best.Offer(topk.Item{ID: i, Score: r.Score})
-	}
-	items := best.Descending()
-	out := make([]core.Result, len(items))
-	for i, it := range items {
-		out[i] = all[it.ID]
-	}
-	return out, agg, queried, nil
+	sort.Slice(all, func(a, b int) bool {
+		return topk.ResultGreater(all[a].Score, all[a].ID, all[b].Score, all[b].ID)
+	})
+	return all[:min(n, len(all))], agg, queried, nil
 }

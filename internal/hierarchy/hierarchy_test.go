@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/topk"
 	"repro/internal/workload"
 )
 
@@ -43,6 +44,69 @@ func bruteScores(pts [][]float64, w []float64, n int) []float64 {
 		n = len(s)
 	}
 	return s[:n]
+}
+
+// TestMergeOrdersCrossChildTiesByID: records that tie exactly across
+// children must merge in the total order (score desc, record ID asc),
+// not in child order. Child "a" sorts first but holds the larger ID of
+// every tied pair; each child's own scores are distinct, so only the
+// merge decides the tie order. TopN is checked whenever the parent
+// routes the query to both children (a tie inside the parent's own top
+// is the core walk's layering tie, outside this test).
+func TestMergeOrdersCrossChildTiesByID(t *testing.T) {
+	vecs := [][]float64{{1, 0}, {0, 1}, {-1, -1}}
+	groups := map[string][]core.Record{}
+	for i, v := range vecs {
+		groups["a"] = append(groups["a"], core.Record{ID: uint64(20 + 2*i), Vector: v})
+		groups["b"] = append(groups["b"], core.Record{ID: uint64(10 + 2*i), Vector: v})
+	}
+	h, err := Build(groups, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routedBoth := 0
+	for _, w := range [][]float64{{1, 0}, {0, 1}, {-1, 0.5}} {
+		var want []core.Result
+		for _, recs := range groups {
+			for _, r := range recs {
+				want = append(want, core.Result{ID: r.ID, Score: geom.Dot(w, r.Vector)})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return topk.ResultGreater(want[i].Score, want[i].ID, want[j].Score, want[j].ID)
+		})
+		for n := 1; n <= len(want)+1; n++ {
+			exp := want[:min(n, len(want))]
+			check := func(mode string, got []core.Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s w=%v n=%d: %v", mode, w, n, err)
+				}
+				if len(got) != len(exp) {
+					t.Fatalf("%s w=%v n=%d: %d results, want %d", mode, w, n, len(got), len(exp))
+				}
+				for i := range exp {
+					if got[i].ID != exp[i].ID || got[i].Score != exp[i].Score {
+						t.Fatalf("%s w=%v n=%d: rank %d = (%d, %v), want (%d, %v)",
+							mode, w, n, i, got[i].ID, got[i].Score, exp[i].ID, exp[i].Score)
+					}
+				}
+			}
+			got, _, err := h.TopNExhaustive(w, n)
+			check("TopNExhaustive", got, err)
+			got, _, err = h.TopNWhere(w, n, func(string) bool { return true })
+			check("TopNWhere", got, err)
+			got, st, err := h.TopN(w, n)
+			if err == nil && st.ChildrenQueried < 2 {
+				continue
+			}
+			routedBoth++
+			check("TopN", got, err)
+		}
+	}
+	if routedBoth == 0 {
+		t.Fatal("the parent never routed a query to both children")
+	}
 }
 
 func TestBuildAndAccessors(t *testing.T) {

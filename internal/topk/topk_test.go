@@ -1,7 +1,9 @@
 package topk
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -39,18 +41,26 @@ func TestBoundedUnderfill(t *testing.T) {
 	}
 }
 
+// TestBoundedRejectsWeak checks on the kept set that an offer weaker
+// than every kept item stays out, and that one tying the threshold's
+// score stays out when it loses the tie on ID, while a strong offer
+// displaces the weakest kept item.
 func TestBoundedRejectsWeak(t *testing.T) {
 	b := NewBounded(2)
 	b.Offer(Item{ID: 0, Score: 10})
 	b.Offer(Item{ID: 1, Score: 20})
-	if b.Offer(Item{ID: 2, Score: 5}) {
-		t.Error("weak item was kept")
+	kept := []Item{{ID: 1, Score: 20}, {ID: 0, Score: 10}}
+	b.Offer(Item{ID: 2, Score: 5})
+	if got := b.Descending(); !slices.Equal(got, kept) {
+		t.Errorf("weak item was kept: %v", got)
 	}
-	if b.Offer(Item{ID: 3, Score: 10}) {
-		t.Error("tied-with-threshold item should be rejected (existing kept)")
+	b.Offer(Item{ID: 3, Score: 10})
+	if got := b.Descending(); !slices.Equal(got, kept) {
+		t.Errorf("tied-with-threshold item should be rejected (existing kept): %v", got)
 	}
-	if !b.Offer(Item{ID: 4, Score: 15}) {
-		t.Error("strong item rejected")
+	b.Offer(Item{ID: 4, Score: 15})
+	if got, want := b.Descending(), []Item{{ID: 1, Score: 20}, {ID: 4, Score: 15}}; !slices.Equal(got, want) {
+		t.Errorf("strong item rejected: %v", got)
 	}
 }
 
@@ -248,4 +258,153 @@ func TestMaxHeapReset(t *testing.T) {
 	if h.Len() != 0 {
 		t.Error("reset failed")
 	}
+}
+
+// fullSortTop is the reference the collector is checked against: the
+// first k items of a full sort under Greater.
+func fullSortTop(items []Item, k int) []Item {
+	all := slices.Clone(items)
+	sort.Slice(all, func(i, j int) bool { return Greater(all[i], all[j]) })
+	return all[:min(k, len(all))]
+}
+
+// TestBoundedMatchesFullSort checks the collector against a full sort
+// on input shapes that stress a selection: heavy ties (three distinct
+// scores), sorted, reverse-sorted, organ-pipe and all-equal scores,
+// under shuffled IDs, at k from 1 to more than offered. Threshold, Len
+// and Descending are called mid-stream, and one collector is reused
+// through ResetK across every case, its buffer sized for k = 1.
+func TestBoundedMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	shapes := []struct {
+		name  string
+		score func(i, n int) float64
+	}{
+		{"random", func(int, int) float64 { return rng.NormFloat64() }},
+		{"ties", func(int, int) float64 { return float64(rng.Intn(3)) }},
+		{"sorted", func(i, _ int) float64 { return float64(i) }},
+		{"reverse", func(i, n int) float64 { return float64(n - i) }},
+		{"organ-pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
+		{"all-equal", func(int, int) float64 { return 1 }},
+	}
+	reused := NewBounded(1)
+	for _, sh := range shapes {
+		for _, n := range []int{1, 2, 13, 200, 1500} {
+			ids := rng.Perm(n)
+			items := make([]Item, n)
+			for i := range items {
+				items[i] = Item{ID: ids[i], Score: sh.score(i, n)}
+			}
+			for _, k := range []int{1, 2, 7, 100, n + 3} {
+				reused.ResetK(k)
+				for _, b := range []*Bounded{NewBounded(k), reused} {
+					name := fmt.Sprintf("%s/n=%d/k=%d", sh.name, n, k)
+					checkBounded(t, name, b, items, k)
+				}
+			}
+		}
+	}
+}
+
+// checkBounded offers items to an empty collector of bound k, checking
+// Len and Threshold at a few points and Descending once mid-stream,
+// then the final kept set and order against fullSortTop.
+func checkBounded(t *testing.T, name string, b *Bounded, items []Item, k int) {
+	t.Helper()
+	step := max(1, len(items)/7)
+	for i, it := range items {
+		b.Offer(it)
+		if i%step != step-1 {
+			continue
+		}
+		seen := items[:i+1]
+		if got, want := b.Len(), min(len(seen), k); got != want {
+			t.Fatalf("%s: after %d offers Len = %d, want %d", name, len(seen), got, want)
+		}
+		th, ok := b.Threshold()
+		if len(seen) < k {
+			if ok {
+				t.Fatalf("%s: Threshold defined after %d < k offers", name, len(seen))
+			}
+		} else if want := fullSortTop(seen, k)[k-1].Score; !ok || th != want {
+			t.Fatalf("%s: after %d offers Threshold = %v,%v, want %v", name, len(seen), th, ok, want)
+		}
+		if i/step == 3 {
+			if got, want := b.Descending(), fullSortTop(seen, k); !slices.Equal(got, want) {
+				t.Fatalf("%s: mid-stream Descending after %d offers = %v, want %v", name, len(seen), got, want)
+			}
+		}
+	}
+	if got, want := b.Descending(), fullSortTop(items, k); !slices.Equal(got, want) {
+		t.Fatalf("%s: Descending = %v, want %v", name, got, want)
+	}
+}
+
+// TestKernelsOnEqualItems drives the selection and the sort over
+// inputs of fully equal items (same ID and score), which partition
+// badly by construction, so the budgeted fallback must finish them.
+func TestKernelsOnEqualItems(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 20, 500, 4000} {
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{ID: rng.Intn(3), Score: float64(rng.Intn(2))}
+		}
+		want := fullSortTop(items, n)
+		got := slices.Clone(items)
+		sortItems(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: sortItems disagrees with a full sort", n)
+		}
+		for _, r := range []int{0, n / 3, n - 1} {
+			if r < 0 || r >= n {
+				continue
+			}
+			got := slices.Clone(items)
+			selectNth(got, r)
+			if got[r] != want[r] {
+				t.Fatalf("n=%d: selectNth(%d) placed %v, want %v", n, r, got[r], want[r])
+			}
+			for i := range got {
+				if (i < r && Greater(got[r], got[i])) || (i > r && Greater(got[i], got[r])) {
+					t.Fatalf("n=%d: selectNth(%d) left %v at %d on the wrong side", n, r, got[i], i)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBoundedMatchesSort offers items decoded from the fuzz bytes —
+// score from the high bits (32 values, so ties abound), IDs a
+// permutation — to a collector of bound k, asking for the threshold
+// where a byte's low bits are all set, and checks the kept set and its
+// order against a full sort.
+func FuzzBoundedMatchesSort(f *testing.F) {
+	f.Add([]byte{7, 7, 7, 7, 0, 255}, uint8(2))
+	f.Add([]byte{1, 9, 17, 25, 33, 41, 49, 57, 65, 73, 81, 89, 97, 105}, uint8(5))
+	f.Add([]byte{200, 150, 100, 50, 0, 50, 100, 150, 200}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw uint8) {
+		k := int(kRaw)%64 + 1
+		ids := rand.New(rand.NewSource(int64(len(data)))).Perm(len(data))
+		b := NewBounded(k)
+		items := make([]Item, 0, len(data))
+		for i, c := range data {
+			it := Item{ID: ids[i], Score: float64(c >> 3)}
+			items = append(items, it)
+			b.Offer(it)
+			if c&7 == 7 {
+				th, ok := b.Threshold()
+				if len(items) < k {
+					if ok {
+						t.Fatalf("Threshold defined after %d < %d offers", len(items), k)
+					}
+				} else if want := fullSortTop(items, k)[k-1].Score; !ok || th != want {
+					t.Fatalf("Threshold after %d offers = %v,%v, want %v", len(items), th, ok, want)
+				}
+			}
+		}
+		if got, want := b.Descending(), fullSortTop(items, k); !slices.Equal(got, want) {
+			t.Fatalf("Descending = %v, want %v", got, want)
+		}
+	})
 }

@@ -73,8 +73,9 @@ echo "== shard divergence fault injection (-race, -count=2)"
 go test -race -count=2 -run 'TestDivergedReplica|TestResyncTolerates|TestWriteFailsClean' ./internal/shard
 
 # Short-budget fuzz passes. Seconds each, so regressions in the WAL
-# replayer (panic on crash garbage, non-canonical re-encoding) and the
-# query path (TopN vs brute force under adversarial weights) surface in
+# replayer (panic on crash garbage, non-canonical re-encoding), the
+# query path (TopN vs brute force under adversarial weights) and the
+# top-k collector (its selection vs a full sort, ties included) surface in
 # CI rather than only in long offline fuzz sessions. Any crasher found
 # is minimized into testdata/fuzz/ and replays as a plain test case
 # forever after.
@@ -88,6 +89,8 @@ echo "== fuzz: FuzzShellBucketBound (5s)"
 go test -run='^$' -fuzz=FuzzShellBucketBound -fuzztime=5s ./internal/core
 echo "== fuzz: FuzzCheckpointV2RoundTrip (5s)"
 go test -run='^$' -fuzz=FuzzCheckpointV2RoundTrip -fuzztime=5s ./internal/storage
+echo "== fuzz: FuzzBoundedMatchesSort (5s)"
+go test -run='^$' -fuzz=FuzzBoundedMatchesSort -fuzztime=5s ./internal/topk
 
 # Parallel-build determinism smoke: a small -build-scaling sweep exits
 # non-zero if any worker count produces a different layer partition
