@@ -18,10 +18,14 @@
 //     walk instead of each running their own — the thundering-herd
 //     shape of hot ranking traffic.
 //
-//   - Epoch invalidation. Entries are tagged with the snapshot epoch
-//     they were computed under; a mutation publish bumps the epoch and
-//     stale entries die lazily on next touch. The ordering contract
-//     that makes this airtight:
+//   - Epoch invalidation. Each shard holds the entries of one snapshot
+//     epoch. A mutation publish bumps the epoch with one atomic add, and
+//     the first lookup or Put that reaches a shard at a newer epoch drops
+//     all of the shard's entries at once; a lookup at an older epoch
+//     misses, and a result computed at an older epoch is not installed.
+//     So the bytes the cache holds are the live epoch's entries, plus
+//     those of shards no request has reached since the bump. The
+//     ordering contract that makes this airtight:
 //
 //     readers:    e := cache.Epoch();  snap := load snapshot;  compute;  Put(key, e, …)
 //     publisher:  store new snapshot;  cache.Invalidate();     reply to mutators
@@ -35,7 +39,9 @@
 //     acknowledged reads the bumped epoch and rejects every pre-swap
 //     entry: an acknowledged write is never followed by a stale read.
 //     The converse race — a fresh result tagged with the old epoch —
-//     only wastes the entry; it is discarded at the next Get.
+//     only wastes the computation: its Put finds the shard newer and
+//     installs nothing, or installs it in a shard the next lookup at
+//     the newer epoch empties.
 package cache
 
 import (
@@ -78,8 +84,7 @@ const entryOverhead = 96
 const resultSize = 24
 
 type entry struct {
-	key   string
-	epoch uint64
+	key string
 	// k is the depth the results were computed with; the entry serves
 	// any n ≤ k (prefix of a deterministic ranking).
 	k int
@@ -105,6 +110,7 @@ type flight struct {
 
 type shard struct {
 	mu      sync.Mutex
+	epoch   uint64 // the epoch every entry was computed at
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
 	bytes   int64
@@ -164,8 +170,8 @@ func (c *Cache) Epoch() uint64 {
 
 // Invalidate bumps the epoch, logically discarding every cached entry.
 // The publisher must call it AFTER the new snapshot is visible and
-// BEFORE acknowledging the mutation to its caller. Entries are removed
-// lazily as lookups touch them.
+// BEFORE acknowledging the mutation to its caller. Each shard drops its
+// entries when the first request at the new epoch reaches it.
 func (c *Cache) Invalidate() {
 	if c == nil {
 		return
@@ -222,15 +228,30 @@ func (c *Cache) Get(key string, n int, epoch uint64) ([]core.Result, core.Stats,
 	return res, st, true
 }
 
-// lookup returns a servable entry or nil, dropping entries invalidated
-// by an epoch bump. Caller holds sh.mu.
+// at reports whether the shard serves epoch. A newer epoch first drops
+// every entry the shard holds, all computed at an older one; an older
+// epoch leaves the shard alone. Caller holds sh.mu.
+func (sh *shard) at(c *Cache, epoch uint64) bool {
+	if epoch < sh.epoch {
+		return false
+	}
+	if epoch > sh.epoch {
+		clear(sh.entries)
+		sh.lru.Init()
+		c.bytes.Add(-sh.bytes)
+		sh.bytes = 0
+		sh.epoch = epoch
+	}
+	return true
+}
+
+// lookup returns a servable entry or nil. Caller holds sh.mu.
 func (sh *shard) lookup(c *Cache, key string, n int, epoch uint64) *entry {
-	ent, ok := sh.entries[key]
-	if !ok {
+	if !sh.at(c, epoch) {
 		return nil
 	}
-	if ent.epoch != epoch {
-		sh.remove(c, ent) // lazy expiry of a pre-swap entry
+	ent, ok := sh.entries[key]
+	if !ok {
 		return nil
 	}
 	if n > ent.k && !ent.exhausted {
@@ -241,9 +262,10 @@ func (sh *shard) lookup(c *Cache, key string, n int, epoch uint64) *entry {
 }
 
 // Put stores results computed at depth k under the given epoch. The
-// cache takes ownership of the results slice. A same-epoch entry that
-// is already at least as deep is never downgraded; shallower or stale
-// entries are replaced in place (the "upgrade" of prefix serving).
+// cache takes ownership of the results slice. A result computed at an
+// epoch older than the shard's is not installed. An entry that is
+// already at least as deep is never downgraded; a shallower one is
+// replaced in place (the "upgrade" of prefix serving).
 func (c *Cache) Put(key string, epoch uint64, k int, results []core.Result, stats core.Stats) {
 	if c == nil {
 		return
@@ -256,8 +278,11 @@ func (c *Cache) Put(key string, epoch uint64, k int, results []core.Result, stat
 
 // put is Put with sh.mu held.
 func (sh *shard) put(c *Cache, key string, epoch uint64, k int, results []core.Result, stats core.Stats) {
+	if !sh.at(c, epoch) {
+		return
+	}
 	if old, ok := sh.entries[key]; ok {
-		if old.epoch == epoch && old.k >= k {
+		if old.k >= k {
 			sh.lru.MoveToFront(old.elem)
 			return
 		}
@@ -265,7 +290,6 @@ func (sh *shard) put(c *Cache, key string, epoch uint64, k int, results []core.R
 	}
 	ent := &entry{
 		key:       key,
-		epoch:     epoch,
 		k:         k,
 		exhausted: len(results) < k,
 		results:   results,

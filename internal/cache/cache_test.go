@@ -85,18 +85,122 @@ func TestEpochInvalidation(t *testing.T) {
 	if _, _, ok := c.Get("k", 5, c.Epoch()); ok {
 		t.Fatal("stale entry served after Invalidate")
 	}
-	// The lazy expiry must also release the entry's bytes.
+	// Dropping the old epoch's entries must also release their bytes.
 	if got := c.Counters().Bytes; got != 0 {
 		t.Fatalf("stale entry still accounted: %d bytes", got)
 	}
 	if c.Counters().Invalidations != 1 {
 		t.Fatalf("invalidations = %d, want 1", c.Counters().Invalidations)
 	}
-	// An entry tagged with a stale epoch is ignored even before a Get
-	// with the stale tag cleans it up.
+	// A result computed at an old epoch is never served at the current
+	// one, whichever shard it lands in.
 	c.Put("old", 0, 5, mkResults(5, 1), core.Stats{})
 	if _, _, ok := c.Get("old", 5, c.Epoch()); ok {
 		t.Fatal("entry tagged with an old epoch served at the current epoch")
+	}
+}
+
+// entryBytes is what an entry of n results under key is charged.
+func entryBytes(key string, n int) int64 {
+	return int64(len(key)) + resultSize*int64(n) + entryOverhead
+}
+
+// TestShardHoldsOneEpoch puts fresh keys across 1,000 invalidations —
+// every mutation ack bumps the epoch, and a fresh weight vector is never
+// looked up again — under a budget far above 1,000 epochs' worth. Each
+// shard must hold only what was put into it at the last epoch it saw;
+// entries of dead epochs must not sit in the LRU until the budget
+// evicts them. Once every shard has seen the newest epoch, the cache's
+// bytes are exactly that epoch's puts.
+func TestShardHoldsOneEpoch(t *testing.T) {
+	c := New(1<<30, 4)
+	last := make(map[*shard]int64) // bytes put at the shard's last epoch
+	lastEpoch := make(map[*shard]uint64)
+	fresh := 0
+	putFresh := func(epoch uint64) {
+		key := fmt.Sprintf("fresh-%07d", fresh)
+		fresh++
+		sh := c.shardOf(key)
+		if lastEpoch[sh] != epoch {
+			last[sh], lastEpoch[sh] = 0, epoch
+		}
+		c.Put(key, epoch, 10, mkResults(10, 1), core.Stats{})
+		last[sh] += entryBytes(key, 10)
+	}
+	for i := 0; i < 1000; i++ {
+		e := c.Epoch()
+		for j := 0; j < 5; j++ {
+			putFresh(e)
+		}
+		for si, sh := range c.shards {
+			if sh.bytes > last[sh] {
+				t.Fatalf("epoch %d: shard %d holds %d bytes, put %d at its last epoch", e, si, sh.bytes, last[sh])
+			}
+		}
+		c.Invalidate()
+	}
+	e := c.Epoch()
+	var want int64
+	for j := 0; j < 5; j++ {
+		putFresh(e)
+	}
+	for _, sh := range c.shards {
+		if lastEpoch[sh] == e {
+			want += last[sh]
+		}
+	}
+	// Touch every shard at the newest epoch with a miss.
+	touched := make(map[*shard]bool)
+	for probe := 0; len(touched) < len(c.shards); probe++ {
+		key := fmt.Sprintf("probe-%d", probe)
+		touched[c.shardOf(key)] = true
+		c.Get(key, 1, e)
+	}
+	if got := c.Counters().Bytes; got != want {
+		t.Fatalf("cache_bytes = %d after every shard saw the newest epoch, want its puts' %d", got, want)
+	}
+}
+
+// TestOlderEpochPutNotInstalled: a result computed before a publish
+// reaches its shard after a request at the new epoch did. Installing it
+// would charge bytes for an entry no request can be served from.
+func TestOlderEpochPutNotInstalled(t *testing.T) {
+	c := New(1<<20, 1)
+	c.Invalidate()
+	if _, _, ok := c.Get("new", 5, 1); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	before := c.Counters().Bytes
+	c.Put("old", 0, 5, mkResults(5, 1), core.Stats{})
+	if got := c.Counters().Bytes; got != before {
+		t.Fatalf("an epoch-0 Put into an epoch-1 shard was installed: bytes %d -> %d", before, got)
+	}
+	if _, _, ok := c.Get("old", 5, 0); ok {
+		t.Fatal("an epoch-0 Put into an epoch-1 shard is served at epoch 0")
+	}
+}
+
+// TestOlderEpochLookupKeepsNewer: a reader that read the epoch before a
+// publish looks up a shard that already moved on. It must miss, and the
+// newer entries must stay for the readers of the current epoch.
+func TestOlderEpochLookupKeepsNewer(t *testing.T) {
+	c := New(1<<20, 1)
+	c.Invalidate()
+	c.Put("k", 1, 5, mkResults(5, 1), core.Stats{})
+	if _, _, ok := c.Get("k", 5, 0); ok {
+		t.Fatal("an epoch-1 entry served an epoch-0 lookup")
+	}
+	if _, _, ok := c.Get("k", 5, 1); !ok {
+		t.Fatal("an epoch-0 lookup dropped the epoch-1 entry")
+	}
+	res, _, out, err := c.GetOrCompute("k", 5, 0, func() ([]core.Result, core.Stats, error) {
+		return mkResults(5, 9), core.Stats{}, nil
+	})
+	if err != nil || out != Miss || !sameRes(res, mkResults(5, 9)) {
+		t.Fatalf("epoch-0 GetOrCompute: out=%v err=%v, want its own computation", out, err)
+	}
+	if res, _, ok := c.Get("k", 5, 1); !ok || !sameRes(res, mkResults(5, 1)) {
+		t.Fatal("an epoch-0 GetOrCompute replaced or dropped the epoch-1 entry")
 	}
 }
 

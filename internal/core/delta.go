@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/topk"
@@ -154,7 +155,7 @@ func (d *deltaState) appendLive(out []Record) []Record {
 func (d *deltaState) tombIDs(baseIDs []uint64) []uint64 {
 	out := make([]uint64, 0, d.tombs)
 	d.deadBase.each(func(p int) { out = append(out, baseIDs[p]) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -531,28 +532,83 @@ func (ix *Index) CompactedClone() (*Index, error) {
 	return cp, nil
 }
 
-// rankDelta scores every live delta record against weights and returns
-// them in the index's total order (score descending, ID ascending) with
-// Layer = -1: the merge stream NewSearcherChecked weaves into the base
-// walk. The dot product accumulates over j in index order, exactly
-// like the layer kernels, so merged scores are bit-identical to the
-// ones a rebuilt index would compute.
-func (ix *Index) rankDelta(weights []float64) []Result {
+// rankDelta returns the live delta records a search bounded by limit
+// can deliver, in the index's total order (score descending, ID
+// ascending) with Layer = -1: the merge stream NewSearcherChecked weaves
+// into the base walk. limit <= 0 ranks the whole delta. Every live
+// record is scored, through the layer kernel, so scores are
+// bit-identical to the ones a rebuilt index would compute; but only the
+// records at or above the limit-th best score are collected and sorted,
+// so a bounded query allocates O(limit) whatever the delta's size.
+func (ix *Index) rankDelta(weights []float64, limit int) []Result {
 	d := ix.delta
-	out := make([]Result, 0, d.live)
-	for s, id := range d.ids {
-		if d.deadSlots.has(s) {
-			continue
-		}
-		v := d.vecs[s*d.dim : (s+1)*d.dim]
-		var sc float64
-		for j, wj := range weights {
-			sc += wj * v[j]
-		}
-		out = append(out, Result{ID: id, Score: sc, Layer: -1})
+	if limit <= 0 || limit > d.live {
+		limit = d.live
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return topk.ResultGreater(out[a].Score, out[a].ID, out[b].Score, out[b].ID)
-	})
+	floor := math.Inf(-1)
+	if limit < d.live {
+		floor = d.cut(weights, limit)
+	}
+	out := d.appendScored(make([]Result, 0, limit), weights, floor)
+	slices.SortFunc(out, cmpResult)
+	return out[:min(limit, len(out))]
+}
+
+// cut returns the limit-th best score of the live records, or −Inf when
+// fewer than limit records have a score the collector keeps (a NaN
+// never enters it). The collector ranks slots, not record IDs, so the
+// records it keeps may differ from the answer at ties with that score,
+// but the score itself is exact.
+func (d *deltaState) cut(weights []float64, limit int) float64 {
+	best := topk.NewBounded(limit)
+	var buf [deltaChunk]float64
+	for lo := 0; lo < len(d.ids); lo += deltaChunk {
+		for i, sc := range d.scoreChunk(buf[:], weights, lo) {
+			if !d.deadSlots.has(lo + i) {
+				best.Offer(topk.Item{ID: lo + i, Score: sc})
+			}
+		}
+	}
+	if cut, ok := best.Threshold(); ok {
+		return cut
+	}
+	return math.Inf(-1)
+}
+
+// deltaChunk is the number of slots scored per kernel call: the score
+// scratch is an array of that many floats on the caller's stack.
+const deltaChunk = 256
+
+// scoreChunk scores the slots [lo, lo+len(buf)) clipped to the log into
+// buf, through the layer kernel, and returns the filled prefix.
+func (d *deltaState) scoreChunk(buf, weights []float64, lo int) []float64 {
+	n := min(len(buf), len(d.ids)-lo)
+	scoreSlabRange(buf, d.vecs[lo*d.dim:(lo+n)*d.dim], weights, 0, n)
+	return buf[:n]
+}
+
+// appendScored appends every live record scoring at or above floor to
+// out, in slot order, with Layer = -1.
+func (d *deltaState) appendScored(out []Result, weights []float64, floor float64) []Result {
+	var buf [deltaChunk]float64
+	for lo := 0; lo < len(d.ids); lo += deltaChunk {
+		for i, sc := range d.scoreChunk(buf[:], weights, lo) {
+			if sc >= floor && !d.deadSlots.has(lo+i) {
+				out = append(out, Result{ID: d.ids[lo+i], Score: sc, Layer: -1})
+			}
+		}
+	}
 	return out
+}
+
+// cmpResult orders results by the total order: score descending, ID
+// ascending.
+func cmpResult(a, b Result) int {
+	switch {
+	case topk.ResultGreater(a.Score, a.ID, b.Score, b.ID):
+		return -1
+	case topk.ResultGreater(b.Score, b.ID, a.Score, a.ID):
+		return 1
+	}
+	return 0
 }

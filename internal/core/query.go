@@ -133,9 +133,10 @@ type Searcher struct {
 	ctx      context.Context  // optional cancellation; nil = never cancelled
 	err      error            // ctx error once observed
 
-	// Delta merge stream (see delta.go): pending unlayered records
-	// pre-scored and sorted on the total order at construction, woven
-	// into the base walk by Next. nil when the index has no delta.
+	// Delta merge stream (see delta.go): the pending unlayered records
+	// this search can deliver — at most its limit — scored and sorted on
+	// the total order at construction, woven into the base walk by Next.
+	// nil when the index has no delta.
 	deltaRank []Result
 	deltaPos  int
 }
@@ -172,7 +173,9 @@ func (s *Searcher) cancelled() bool {
 // component wrapping ErrNonFiniteWeight). limit bounds the number of
 // results; limit <= 0 deliberately streams the complete ranking (the
 // progressive contract: consume a prefix, abandon the rest — an
-// unbounded stream costs only what is read).
+// unbounded stream costs only what is read). A pending delta is the
+// exception: construction scores every delta record, and sorts the best
+// limit of them, or all of them when the search is unbounded.
 func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, error) {
 	if err := ValidateWeights(weights, ix.dim); err != nil {
 		return nil, err
@@ -194,10 +197,12 @@ func (ix *Index) NewSearcherChecked(weights []float64, limit int) (*Searcher, er
 		s.cand.spare = make([]topk.Item, 0, size)
 	}
 	if ix.delta != nil && ix.delta.live > 0 {
-		// Brute-force the delta up front: every pending record is scored
-		// exactly once per query, which the stats account like a layer.
-		s.deltaRank = ix.rankDelta(w)
-		s.stats.RecordsEvaluated += len(s.deltaRank)
+		// Brute-force the delta up front. The stats account every pending
+		// record once, like a layer's; only the best limit of them are
+		// kept for the merge, as no other can be among the first limit
+		// results.
+		s.deltaRank = ix.rankDelta(w, limit)
+		s.stats.RecordsEvaluated += ix.delta.live
 	}
 	return s, nil
 }

@@ -212,8 +212,9 @@ func (x *Index) CacheStats() CacheStats {
 }
 
 // invalidate retires every cached ranking a mutation may have made
-// stale: the result cache's epoch bump drops them all at once (entries
-// are collected lazily).
+// stale: the result cache's epoch bump retires them all at once (each
+// cache shard frees them when the first query of the new epoch reaches
+// it).
 func (x *Index) invalidate() {
 	x.cache.Invalidate()
 }

@@ -74,8 +74,9 @@ go test -race -count=2 -run 'TestDivergedReplica|TestResyncTolerates|TestWriteFa
 
 # Short-budget fuzz passes. Seconds each, so regressions in the WAL
 # replayer (panic on crash garbage, non-canonical re-encoding), the
-# query path (TopN vs brute force under adversarial weights) and the
-# top-k collector (its selection vs a full sort, ties included) surface in
+# query path (TopN vs brute force under adversarial weights), the
+# top-k collector (its selection vs a full sort, ties included) and the
+# delta's selection (a tie-heavy delta vs brute force) surface in
 # CI rather than only in long offline fuzz sessions. Any crasher found
 # is minimized into testdata/fuzz/ and replays as a plain test case
 # forever after.
@@ -91,6 +92,8 @@ echo "== fuzz: FuzzCheckpointV2RoundTrip (5s)"
 go test -run='^$' -fuzz=FuzzCheckpointV2RoundTrip -fuzztime=5s ./internal/storage
 echo "== fuzz: FuzzBoundedMatchesSort (5s)"
 go test -run='^$' -fuzz=FuzzBoundedMatchesSort -fuzztime=5s ./internal/topk
+echo "== fuzz: FuzzDeltaRankMatchesSort (5s)"
+go test -run='^$' -fuzz=FuzzDeltaRankMatchesSort -fuzztime=5s ./internal/core
 
 # Parallel-build determinism smoke: a small -build-scaling sweep exits
 # non-zero if any worker count produces a different layer partition
